@@ -281,7 +281,7 @@ func TestSweepAllCoversCrossProduct(t *testing.T) {
 // TestPooledEnvReuseAcrossWorkers drives many fresh simulations through
 // a parallel worker pool, twice, so workers concurrently acquire,
 // release, and reuse pooled sim environments (event slabs, process
-// structs, resume channels). Run under -race in CI, this pins the
+// structs, coroutines). Run under -race in CI, this pins the
 // thread-safety of pooled-buffer reuse; the result comparison between
 // the two rounds pins that reuse never leaks state between jobs.
 func TestPooledEnvReuseAcrossWorkers(t *testing.T) {

@@ -359,7 +359,7 @@ func (j *Job) post(srcRank, dstRank int, delay float64, fn func(any), arg any) {
 // jobPool recycles Job state across runs. Like the sim environment pool,
 // each campaign worker acquires its own Job, so reuse is race-free by
 // construction; failed runs (deadlock, panic) are abandoned to the GC
-// because blocked rank goroutines may still reference them.
+// because blocked rank coroutines may still reference them.
 var jobPool = sync.Pool{New: func() any { return &Job{} }}
 
 // Rank is one MPI process. All methods must be called from within the
@@ -436,10 +436,10 @@ func Run(cfg Config, body func(r *Rank)) (Result, error) {
 	}
 
 	// Environments and job state come from pools: event slabs, process
-	// structs, resume channels, machine/network resources, and Rank
+	// structs and their coroutines, machine/network resources, and Rank
 	// structs are all recycled across campaign jobs. Failed runs
 	// (deadlock, panic) are abandoned instead of released, since blocked
-	// rank goroutines may still reference them.
+	// rank coroutines may still reference them.
 	env := sim.AcquireEnv()
 	job := jobPool.Get().(*Job)
 	job.init(sim.UniRouter{E: env}, cfg, body)
@@ -468,7 +468,7 @@ func runPartitioned(cfg Config, nodes int, body func(r *Rank)) (Result, error) {
 		job.attachOracle(eng, nodes)
 	}
 	if err := eng.Run(); err != nil {
-		// Failed runs abandon the job (blocked rank goroutines may still
+		// Failed runs abandon the job (blocked rank coroutines may still
 		// reference it); the engine releases what stayed clean.
 		eng.Release()
 		return Result{}, err

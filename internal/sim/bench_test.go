@@ -34,7 +34,7 @@ func BenchmarkNowQueueFire(b *testing.B) {
 }
 
 // BenchmarkTimedWait measures a full process wait cycle: typed resume
-// event plus the two goroutine handoffs.
+// event plus the two coroutine switches.
 func BenchmarkTimedWait(b *testing.B) {
 	e := NewEnv()
 	n := b.N

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -69,9 +71,13 @@ type Env struct {
 	procs    []*Proc
 	procFree []*Proc
 	current  *Proc
-	yieldCh  chan struct{}
 	failure  error
 	stopped  bool
+
+	// coros lists every process coroutine this environment created; the
+	// cleanup registered by NewEnv stops them once the environment is
+	// unreachable.
+	coros *coroSet
 
 	// flowChunk bump-allocates Flow structs for this run's resources;
 	// the chunks are dropped at reset, so flows never alias across runs.
@@ -97,11 +103,16 @@ type OutputOracle interface {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{yieldCh: make(chan struct{})}
+	e := &Env{coros: &coroSet{}}
+	// Finished processes keep their idle coroutines for reuse. Once the
+	// environment is garbage (dropped by envPool, or never pooled), stop
+	// them so their goroutines exit.
+	runtime.AddCleanup(e, (*coroSet).stop, e.coros)
+	return e
 }
 
 // envPool recycles environments — and with them event slabs, process
-// structs, and their resume channels — across simulation runs. Campaign
+// structs, and their coroutines — across simulation runs. Campaign
 // workers each acquire their own Env, so pooled reuse is race-free by
 // construction and is exercised under -race by the campaign tests.
 var envPool = sync.Pool{New: func() any { return NewEnv() }}
@@ -114,8 +125,8 @@ func AcquireEnv() *Env {
 
 // ReleaseEnv resets e and returns it to the pool. Environments that did
 // not finish cleanly (failed runs, undrained queues, processes still
-// blocked) are abandoned to the garbage collector instead: their
-// goroutines may still hold references to internal state.
+// blocked) are abandoned to the garbage collector instead: their parked
+// coroutines may still hold references to internal state.
 func ReleaseEnv(e *Env) {
 	if e == nil || !e.clean() {
 		return
@@ -143,7 +154,7 @@ func (e *Env) clean() bool {
 
 // reset rewinds the environment to the zero-time state while keeping all
 // allocated capacity: the event slab, the free list, and finished process
-// structs (whose resume channels are reused by future Spawns).
+// structs (whose coroutines are reused by future Spawns).
 func (e *Env) reset() {
 	e.now, e.seq = 0, 0
 	e.failure = nil
@@ -316,26 +327,92 @@ func (e *Env) AfterArg(d float64, fn func(any), arg any) Event {
 	return e.scheduleArg(e.now+d, fn, arg)
 }
 
-// Proc is a simulation process: a goroutine whose execution is interleaved
-// with other processes in virtual time. Process methods that block (Wait,
-// Park, resource acquisition) must only be called from within the process's
-// own function.
+// Proc is a simulation process: a coroutine whose execution is
+// interleaved with other processes in virtual time. Process methods that
+// block (Wait, Park, resource acquisition) must only be called from within
+// the process's own function.
 type Proc struct {
 	env        *Env
 	id         int
 	name       string
 	state      ProcState
-	resume     chan struct{}
+	co         *coro
 	wakeTokens int
 	pending    Event // scheduled resume while in StateWaiting
 	parkReason string
 	fn         func(*Proc)
 }
 
+// coro is a process's execution context: an iter.Pull coroutine that runs
+// one process function after another. Handing control to a process is a
+// direct coroutine switch (next), and a process hands it back by calling
+// the coroutine's yield, so a park/resume round trip involves neither
+// channels nor the Go scheduler. A finished process stays paired with its
+// idle coroutine, so Spawn on a pooled environment starts no goroutine.
+//
+// The coroutine references its process only while running one (p is nil
+// when idle): an environment whose processes have all finished is
+// unreachable from the coroutine stacks, so its cleanup can stop them.
+type coro struct {
+	p     *Proc
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+func newCoro() *coro {
+	c := &coro{}
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+// loop is the coroutine body: run the assigned process to completion,
+// hand control back, wait for the next assignment. It returns when the
+// coroutine is stopped.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.runProc()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// runProc executes the assigned process function. A panic becomes the
+// environment's failure; either way the process ends in StateDone and
+// the coroutine goes idle.
+func (c *coro) runProc() {
+	p := c.p
+	e := p.env
+	defer func() {
+		if r := recover(); r != nil {
+			if e.failure == nil {
+				e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
+			}
+		}
+		p.state = StateDone
+		c.p = nil
+	}()
+	p.fn(p)
+}
+
+// coroSet is the list of an environment's coroutines, kept apart from
+// the Env so that the cleanup stopping them does not keep it reachable.
+type coroSet struct{ list []*coro }
+
+// stop ends every coroutine in the set. It runs only once the owning
+// environment is unreachable, when every coroutine is idle.
+func (s *coroSet) stop() {
+	for _, c := range s.list {
+		c.stop()
+	}
+}
+
 // Spawn creates a process named name executing fn and schedules it to start
 // at the current virtual time. It returns immediately; fn runs once the
 // scheduler reaches the start event during Run. Finished process structs
-// from a previous run of a pooled environment are reused, resume channel
+// from a previous run of a pooled environment are reused, coroutine
 // included.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	var p *Proc
@@ -343,7 +420,8 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		p = e.procFree[n]
 		e.procFree = e.procFree[:n]
 	} else {
-		p = &Proc{env: e, resume: make(chan struct{})}
+		p = &Proc{env: e, co: newCoro()}
+		e.coros.list = append(e.coros.list, p.co)
 	}
 	p.id = len(e.procs)
 	p.name = name
@@ -354,46 +432,30 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// startProc launches the process goroutine and immediately hands control to
-// it; the scheduler blocks until the process yields.
+// startProc assigns p to its coroutine and hands control to it.
 func (e *Env) startProc(p *Proc) {
-	go p.run()
+	p.co.p = p
 	e.transferTo(p)
 }
 
-// run is the body of a process goroutine.
-func (p *Proc) run() {
-	e := p.env
-	<-p.resume
-	defer func() {
-		if r := recover(); r != nil {
-			if e.failure == nil {
-				e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
-			}
-		}
-		p.state = StateDone
-		e.yieldCh <- struct{}{}
-	}()
-	p.fn(p)
-}
-
-// transferTo hands control to p and blocks the scheduler goroutine until p
-// yields (parks, waits, or finishes).
+// transferTo hands control to p and returns once p yields (parks, waits,
+// or finishes).
 func (e *Env) transferTo(p *Proc) {
 	prev := e.current
 	e.current = p
 	p.state = StateRunning
-	p.resume <- struct{}{}
-	<-e.yieldCh
+	p.co.next()
 	e.current = prev
 }
 
 // yield returns control from the running process to the scheduler and
-// blocks until the scheduler resumes this process.
+// returns once the scheduler resumes this process.
 func (p *Proc) yield() {
-	p.env.yieldCh <- struct{}{}
-	<-p.resume
-	p.state = StateRunning
+	if !p.co.yield(struct{}{}) {
+		// Coroutines are stopped only when their environment is garbage,
+		// which a parked process's own stack rules out.
+		panic(fmt.Sprintf("sim: process %q stopped while blocked", p.name))
+	}
 }
 
 // mustBeCurrent panics unless p is the currently executing process; all

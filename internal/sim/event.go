@@ -2,9 +2,9 @@
 // engine with a virtual clock.
 //
 // The engine is the substrate for the whole repository: MPI ranks are
-// simulated as processes (goroutines) that advance a shared virtual clock,
-// and hardware resources (memory-domain bandwidth, network links) are
-// modeled as processor-sharing resources in virtual time.
+// simulated as processes (iter.Pull coroutines) that advance a shared
+// virtual clock, and hardware resources (memory-domain bandwidth, network
+// links) are modeled as processor-sharing resources in virtual time.
 //
 // Exactly one process executes at any instant; the scheduler hands control
 // to processes in (time, sequence) order, which makes every simulation run

@@ -199,7 +199,7 @@ func Acquire(nodes, workers int, lookahead float64, adaptive bool) *Engine {
 
 // Release returns clean partition environments to the sim pool and the
 // engine to its own pool. Environments of failed runs are abandoned to
-// the GC (blocked rank goroutines may still reference them), exactly as
+// the GC (blocked rank coroutines may still reference them), exactly as
 // the serial engine abandons its environment.
 func (g *Engine) Release() {
 	for _, p := range g.parts {
