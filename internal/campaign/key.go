@@ -15,7 +15,7 @@ import (
 // job key, so bumping it invalidates all previously persisted results at
 // once — do that whenever the encoding below, the simulation semantics of
 // an encoded field, or the persisted Record schema changes incompatibly.
-const keyVersion = "spechpc-job/v1"
+const keyVersion = "spechpc-job/v2"
 
 // Canonical returns the canonical plain-text encoding of a job: one
 // versioned header line followed by one key=value line per field of the

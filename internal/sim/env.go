@@ -241,7 +241,7 @@ func (e *Env) allocSlot(t float64) int32 {
 // releaseSlot clears a detached slot's references and recycles its index.
 func (e *Env) releaseSlot(idx int32) {
 	s := &e.slots[idx]
-	s.fn, s.proc, s.proc2, s.flow = nil, nil, nil, nil
+	s.fn, s.proc, s.proc2, s.res = nil, nil, nil, nil
 	s.fnArg, s.arg = nil, nil
 	s.dead = false
 	s.pos = posDetached
@@ -275,19 +275,19 @@ func (e *Env) scheduleProc(t float64, kind evKind, p *Proc) Event {
 	return Event{env: e, idx: idx, gen: s.gen}
 }
 
-// scheduleFlow inserts a flow-completion event at absolute time t.
-func (e *Env) scheduleFlow(t float64, f *Flow) Event {
+// scheduleFlow inserts a PSResource's head-flow completion event at
+// absolute time t.
+func (e *Env) scheduleFlow(t float64, r *PSResource) Event {
 	idx := e.allocSlot(t)
 	s := &e.slots[idx]
-	s.kind, s.flow = evFlow, f
+	s.kind, s.res = evFlow, r
 	return Event{env: e, idx: idx, gen: s.gen}
 }
 
-// retimeFlow moves a flow's completion event to a new time, reusing the
-// queued slot when possible. It consumes exactly one sequence number —
-// the same accounting as the cancel-plus-reschedule it replaces — so
-// event ordering is identical to the original engine's.
-func (e *Env) retimeFlow(ev Event, t float64, f *Flow) Event {
+// retimeFlow moves a PSResource's completion event to a new time, reusing
+// the queued slot when possible. It consumes exactly one sequence number,
+// like a fresh schedule.
+func (e *Env) retimeFlow(ev Event, t float64, r *PSResource) Event {
 	if ev.valid() {
 		s := &e.slots[ev.idx]
 		if s.pos >= 0 {
@@ -299,12 +299,12 @@ func (e *Env) retimeFlow(ev Event, t float64, f *Flow) Event {
 			e.heapFix(s.pos)
 			return ev
 		}
-		// Rare: the event sits in the now-queue (a flow that was due to
-		// complete at the current instant is being rescheduled). FIFO
-		// entries cannot move; cancel in place and start fresh.
+		// Rare: the event sits in the now-queue (the head was due at the
+		// current instant and the flow set changed). FIFO entries cannot
+		// move; cancel in place and start fresh.
 		ev.Cancel()
 	}
-	return e.scheduleFlow(t, f)
+	return e.scheduleFlow(t, r)
 }
 
 // At schedules fn to run at absolute virtual time t. The callback runs on
@@ -603,7 +603,7 @@ func (e *Env) dispatch(idx int32) {
 	kind := s.kind
 	fn := s.fn
 	fnArg, arg := s.fnArg, s.arg
-	p, p2, flow := s.proc, s.proc2, s.flow
+	p, p2, res := s.proc, s.proc2, s.res
 	s.gen += 2 // fired: handles go stale with even parity (not cancelled)
 	e.releaseSlot(idx)
 	switch kind {
@@ -622,7 +622,7 @@ func (e *Env) dispatch(idx int32) {
 		e.fireWake(p)
 		e.fireWake(p2)
 	case evFlow:
-		flow.res.complete(flow)
+		res.complete()
 	}
 }
 

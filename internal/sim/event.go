@@ -48,7 +48,7 @@ const (
 	evWake
 	// evWakePair wakes two processes in order with one queue entry.
 	evWakePair
-	// evFlow completes a PSResource flow.
+	// evFlow completes a PSResource's head flow.
 	evFlow
 	// evFnArg runs a static callback with a stored argument (Env.AtArg /
 	// Env.AfterArg) — the closure-free variant of evFn for hot paths.
@@ -70,7 +70,7 @@ type eventSlot struct {
 	arg   any
 	proc  *Proc
 	proc2 *Proc
-	flow  *Flow
+	res   *PSResource
 	kind  evKind
 	dead  bool // cancelled while in the now-queue; released on drain
 	pos   int32
