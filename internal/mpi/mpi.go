@@ -76,6 +76,10 @@ type Result struct {
 	// Psim then holds its window statistics (zero for serial runs).
 	Partitioned bool
 	Psim        psim.Stats
+	// Sim holds the engine's deterministic work counts (events
+	// scheduled, processor-sharing retimes, process switches), summed
+	// over partitions; identical on the serial and partitioned paths.
+	Sim sim.Counters
 }
 
 // Job is the runtime state of a simulated MPI application. Jobs are
@@ -447,9 +451,10 @@ func Run(cfg Config, body func(r *Rank)) (Result, error) {
 		return Result{}, err
 	}
 	u := job.sys.Usage()
+	work := env.Counters()
 	sim.ReleaseEnv(env)
 	job.release()
-	return Result{Usage: u, Trace: cfg.Trace, Wall: u.Wall}, nil
+	return Result{Usage: u, Trace: cfg.Trace, Wall: u.Wall, Sim: work}, nil
 }
 
 // runPartitioned executes a multi-node job on the psim engine: one
@@ -477,11 +482,11 @@ func runPartitioned(cfg Config, nodes int, body func(r *Rank)) (Result, error) {
 		testOracleCheck(job)
 	}
 	u := job.sys.Usage()
-	st := eng.Stats()
+	st, work := eng.Stats(), eng.Counters()
 	eng.Release()
 	job.release()
 	return Result{Usage: u, Trace: cfg.Trace, Wall: u.Wall,
-		Partitioned: true, Psim: st}, nil
+		Partitioned: true, Psim: st, Sim: work}, nil
 }
 
 // init prepares a pooled Job for one run: reinitializes the machine and

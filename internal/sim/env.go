@@ -87,7 +87,33 @@ type Env struct {
 	// about when this environment can next affect another one. Nil for
 	// serial runs and partitions without a registered oracle.
 	oracle OutputOracle
+
+	counters Counters
 }
+
+// Counters are deterministic work counts of a run. They depend only on
+// the simulated history, never on wall-clock timing, so tests and
+// benchmarks can pin the structure of the engine's work on any hardware.
+type Counters struct {
+	// Events counts events scheduled.
+	Events int64
+	// Retimes counts moves of a processor-sharing resource's completion
+	// event: one per flow start or completion that leaves flows active.
+	Retimes int64
+	// Switches counts hand-offs of control from the scheduler to a
+	// process.
+	Switches int64
+}
+
+// Add returns the element-wise sum of c and o.
+func (c Counters) Add(o Counters) Counters {
+	return Counters{Events: c.Events + o.Events, Retimes: c.Retimes + o.Retimes,
+		Switches: c.Switches + o.Switches}
+}
+
+// Counters returns the work counts since the environment was created or
+// last recycled through the pool.
+func (e *Env) Counters() Counters { return e.counters }
 
 // OutputOracle is a conservative promise about an environment's next
 // externally visible action. EarliestOutputTime returns a lower bound
@@ -172,6 +198,7 @@ func (e *Env) reset() {
 	e.nowq, e.nowHead = e.nowq[:0], 0
 	e.flowChunk = nil
 	e.oracle = nil
+	e.counters = Counters{}
 }
 
 // SetOutputOracle registers (or clears, with nil) the environment's
@@ -216,6 +243,7 @@ func (e *Env) checkTime(t float64) {
 func (e *Env) allocSlot(t float64) int32 {
 	e.checkTime(t)
 	e.seq++
+	e.counters.Events++
 	var idx int32
 	if n := len(e.freeSlots) - 1; n >= 0 {
 		idx = e.freeSlots[n]
@@ -288,6 +316,7 @@ func (e *Env) scheduleFlow(t float64, r *PSResource) Event {
 // the queued slot when possible. It consumes exactly one sequence number,
 // like a fresh schedule.
 func (e *Env) retimeFlow(ev Event, t float64, r *PSResource) Event {
+	e.counters.Retimes++
 	if ev.valid() {
 		s := &e.slots[ev.idx]
 		if s.pos >= 0 {
@@ -444,6 +473,7 @@ func (e *Env) transferTo(p *Proc) {
 	prev := e.current
 	e.current = p
 	p.state = StateRunning
+	e.counters.Switches++
 	p.co.next()
 	e.current = prev
 }

@@ -120,6 +120,16 @@ func (s *Stats) merge(o Stats) {
 // Stats returns the counters of the engine's last (or in-progress) run.
 func (g *Engine) Stats() Stats { return g.stat }
 
+// Counters returns the work counts of the run summed over partitions;
+// read it after Run and before Release.
+func (g *Engine) Counters() sim.Counters {
+	var c sim.Counters
+	for _, p := range g.parts {
+		c = c.Add(p.env.Counters())
+	}
+	return c
+}
+
 // Process-wide totals across every engine run, for /statsz and -v
 // style observability surfaces.
 var (
