@@ -557,12 +557,10 @@ func (s *Scheduler) worker() {
 		res, err := s.execute(j.key, rs)
 
 		s.mu.Lock()
-		j.res, j.err = res, err
-		j.state = Done
 		s.active--
+		j.resolveLocked(Done, res, err)
 		s.noteDoneLocked(j)
 		s.mu.Unlock()
-		close(j.done)
 	}
 }
 
@@ -639,9 +637,18 @@ func (s *Scheduler) Close() {
 // Callers hold s.mu and must have already removed j from the queue.
 func (s *Scheduler) resolveDroppedLocked(j *schedJob, err error) {
 	delete(s.cache, j.key)
-	j.state = Cancelled
-	j.err = err
 	s.stats.Cancelled++
+	j.resolveLocked(Cancelled, spec.RunResult{}, err)
+}
+
+// resolveLocked publishes a job's final state together with its outcome:
+// state, result and error are set and done is closed in one critical
+// section, so a poller that reads the final state under the lock always
+// finds Outcome ready. Every resolve of a queued job goes through here;
+// coalesced tickets share the job and see the same publish. Callers
+// hold the scheduler's lock.
+func (j *schedJob) resolveLocked(state JobState, res spec.RunResult, err error) {
+	j.res, j.err, j.state = res, err, state
 	close(j.done)
 }
 

@@ -498,3 +498,49 @@ func TestSchedulerStress(t *testing.T) {
 		t.Error("stress run recorded no cache activity at all")
 	}
 }
+
+// TestResolvedStateCarriesOutcome pins the resolve publish: a poller
+// that sees a job in a final state (Done or Cancelled) must also get its
+// outcome from Outcome, for the first submitter, a coalesced joiner,
+// and a cancelled queued job alike. Status endpoints poll exactly this
+// pair, and reporting "done" without a result is a visible bug. Run it
+// under -race.
+func TestResolvedStateCarriesOutcome(t *testing.T) {
+	s := NewScheduler(2, nil)
+	defer s.Close()
+	s.SetRunner(func(rs spec.RunSpec) (spec.RunResult, error) {
+		return spec.RunResult{Spec: rs, Trace: trace.FromSums(make([][]float64, rs.Ranks))}, nil
+	})
+	poll := func(tk *Ticket, wg *sync.WaitGroup) {
+		defer wg.Done()
+		for {
+			st := tk.State()
+			if st != Done && st != Cancelled {
+				continue
+			}
+			if _, ok := tk.Outcome(); !ok {
+				t.Errorf("job %s reported %v but Outcome is not ready", tk.Key(), st)
+			}
+			return
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 300; i++ {
+		job := blockJob(5000 + i)
+		first := s.Submit(context.Background(), job)
+		joiner := s.Submit(context.Background(), job)
+		wg.Add(2)
+		go poll(first, &wg)
+		go poll(joiner, &wg)
+		if i%10 == 0 {
+			// A queued job whose only submitter cancels resolves as
+			// Cancelled through the drop path.
+			ctx, cancel := context.WithCancel(context.Background())
+			dropped := s.Submit(ctx, blockJob(9000+i))
+			wg.Add(1)
+			go poll(dropped, &wg)
+			cancel()
+		}
+	}
+	wg.Wait()
+}
