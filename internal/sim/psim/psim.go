@@ -35,8 +35,9 @@
 package psim
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/spechpc/spechpc-sim/internal/sim"
@@ -349,18 +350,23 @@ func (g *Engine) deliver() {
 			continue
 		}
 		g.stat.Mail += int64(len(box))
-		sort.SliceStable(box, func(i, j int) bool {
-			if box[i].t != box[j].t {
-				return box[i].t < box[j].t
-			}
-			return box[i].src < box[j].src
-		})
+		slices.SortStableFunc(box, mailOrder)
 		for i := range box {
 			pd.env.AtArg(box[i].t, box[i].fn, box[i].arg)
 		}
 		clear(box)
 		g.inbox = box[:0]
 	}
+}
+
+// mailOrder orders barrier mail by (time, source partition); with a
+// stable sort, submission order breaks the remaining ties. A top-level
+// function keeps the per-window sort allocation-free.
+func mailOrder(a, b mail) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.src, b.src)
 }
 
 // minNextEvent returns the earliest queued event time across partitions.
