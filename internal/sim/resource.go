@@ -65,10 +65,10 @@ type Flow struct {
 // EarliestFinish returns a lower bound on the virtual time at which the
 // flow can complete: the remaining work served at the fastest rate the
 // resource could ever grant one flow (full capacity, capped by FlowCap).
-// Unlike the currently scheduled completion event — which water-filling
-// rescheduling can move EARLIER when competing flows finish — this bound
-// is sound under any future contention, so the adaptive-lookahead oracle
-// may promise it across window barriers. Completed flows return -Inf.
+// Unlike the finish time at the current rate — which moves EARLIER when
+// competing flows finish — this bound is sound under any future
+// contention, so the adaptive-lookahead oracle may promise it across
+// window barriers. Completed flows return -Inf.
 func (f *Flow) EarliestFinish() float64 {
 	if f.completed {
 		return math.Inf(-1)
