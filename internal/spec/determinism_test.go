@@ -23,7 +23,8 @@ var updateGolden = flag.Bool("update", false, "rewrite determinism golden files"
 // diff. The set covers the protocol paths that stress the scheduler
 // differently: a rendezvous wavefront chain, a memory-bound halo code, a
 // large-payload allreduce, and multi-node jobs exercising the interconnect
-// and the hierarchical allreduce.
+// and the hierarchical allreduce. hpgmgfv_A8 pins the multigrid kernel's
+// checks, which every golden also records.
 func goldenJobs() []struct {
 	name string
 	rs   spec.RunSpec
@@ -43,6 +44,9 @@ func goldenJobs() []struct {
 		{"soma_B8", spec.RunSpec{Benchmark: "soma", Class: bench.Tiny,
 			Cluster: machine.MustGet("ClusterB"), Ranks: 8,
 			Options: bench.Options{SimSteps: 1}, KeepTrace: true}, true},
+		{"hpgmgfv_A8", spec.RunSpec{Benchmark: "hpgmgfv", Class: bench.Tiny,
+			Cluster: machine.MustGet("ClusterA"), Ranks: 8,
+			Options: bench.Options{SimSteps: 2}, KeepTrace: true}, true},
 		{"lbm_A72", spec.RunSpec{Benchmark: "lbm", Class: bench.Small,
 			Cluster: machine.MustGet("ClusterA"), Ranks: 72,
 			Options: bench.Options{SimSteps: 1}}, false},
@@ -53,12 +57,16 @@ func goldenJobs() []struct {
 }
 
 // renderDeterminism produces the canonical text fingerprint of a run.
-// Floats print with %.17g so any ULP-level timing drift is a diff.
+// Floats print with %.17g so any ULP-level timing drift is a diff. Rank
+// 0's checks pin the kernel's own numerics alongside the schedule.
 func renderDeterminism(res spec.RunResult, full bool) string {
 	var b strings.Builder
 	u := res.RawUsage
 	fmt.Fprintf(&b, "wall=%.17g energy=%.17g flops=%.17g mem=%.17g\n",
 		u.Wall, u.TotalEnergy(), u.FlopsScalar+u.FlopsSIMD, u.BytesMem)
+	for _, c := range res.Report.Checks {
+		fmt.Fprintf(&b, "check %q %.17g\n", c.Name, c.Value)
+	}
 	rec := res.Trace
 	for rank := 0; rank < rec.Ranks(); rank++ {
 		fmt.Fprintf(&b, "rank %d total=%.17g\n", rank, rec.RankTotal(rank))
