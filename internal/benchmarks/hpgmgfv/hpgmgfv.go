@@ -63,6 +63,11 @@ func init() {
 	})
 }
 
+// run charges each V-cycle's per-level halo exchanges, the modeled
+// compute phase and the residual Allreduce of Table 1. The real solver
+// behind the checks and the Allreduce payload is a fixed 16^3 local grid
+// that does not depend on the rank or the job, so its trajectory is
+// computed once per process (residualHistory) and shared by every rank.
 func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 	cfg := configFor(c)
 	simSteps := o.SimSteps
@@ -133,8 +138,7 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 		return (z*py+y)*px + x
 	}
 
-	// Real multigrid solver on a small local grid.
-	mg := newMultigrid(16)
+	norms := residualHistory(simSteps)
 	var contraction float64
 
 	exchange := func(dst, src int, payload []float64, modelBytes float64, tag int) {
@@ -164,9 +168,7 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 				exchange(rank3(cx, cy-1, cz), rank3(cx, cy+1, cz), digest, face, tag+3)
 			}
 		}
-		before := mg.residualNorm()
-		mg.vCycle()
-		after := mg.residualNorm()
+		before, after := norms[step], norms[step+1]
 		if before > 0 {
 			contraction = after / before
 		}
@@ -188,8 +190,8 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 			},
 			bench.Check{
 				Name:  "residual finite",
-				Value: mg.residualNorm(),
-				OK:    !math.IsNaN(mg.residualNorm()),
+				Value: norms[simSteps],
+				OK:    !math.IsNaN(norms[simSteps]),
 			})
 	}
 	return rep, nil

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
+	"github.com/spechpc/spechpc-sim/internal/campaign"
 	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/mpi"
+	"github.com/spechpc/spechpc-sim/internal/spec"
 	"github.com/spechpc/spechpc-sim/internal/trace"
 )
 
@@ -102,5 +104,92 @@ func TestVectorization(t *testing.T) {
 	res, _, _ := runMG(t, machine.ClusterA(), 4, 2)
 	if r := res.Usage.SIMDRatio(); math.Abs(r-0.948) > 0.005 {
 		t.Fatalf("SIMD ratio = %.3f, want 0.948", r)
+	}
+}
+
+// resetHistory drops the shared hierarchy so a test can grow it from
+// scratch. Slices returned earlier keep their own backing array.
+func resetHistory() {
+	shared.Lock()
+	shared.mg, shared.norms = nil, nil
+	shared.Unlock()
+}
+
+// freshHistory cycles a private hierarchy: the reference the shared
+// history must reproduce bit for bit.
+func freshHistory(steps int) []float64 {
+	mg := newMultigrid(16)
+	norms := []float64{mg.residualNorm()}
+	for i := 0; i < steps; i++ {
+		mg.vCycle()
+		norms = append(norms, mg.residualNorm())
+	}
+	return norms
+}
+
+func TestResidualHistoryMatchesFreshSolver(t *testing.T) {
+	for _, order := range [][]int{{1, 2, 7}, {7, 2, 1}} {
+		resetHistory()
+		for _, n := range order {
+			got, want := residualHistory(n), freshHistory(n)
+			if len(got) != n+1 {
+				t.Fatalf("order %v: residualHistory(%d) has %d entries, want %d", order, n, len(got), n+1)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("order %v: residualHistory(%d)[%d] = %v, fresh solver gives %v",
+						order, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestResidualHistoryAppendIsPrivate(t *testing.T) {
+	resetHistory()
+	residualHistory(3) // leave spare capacity behind a shorter request
+	short := residualHistory(1)
+	_ = append(short, -1)
+	if got, want := residualHistory(3)[2], freshHistory(2)[2]; got != want {
+		t.Fatalf("append to a returned history overwrote the shared one: entry 2 = %v, want %v", got, want)
+	}
+}
+
+// TestSharedHistoryConcurrentJobs grows the shared history from scratch
+// with jobs of different lengths running at once — a campaign pool plus a
+// two-node job on the partitioned engine — and demands the checks a
+// serial run produces. Run it under -race.
+func TestSharedHistoryConcurrentJobs(t *testing.T) {
+	cs := machine.ClusterA()
+	var jobs []spec.RunSpec
+	for _, steps := range []int{4, 1, 3, 2} {
+		jobs = append(jobs, spec.RunSpec{Benchmark: "hpgmgfv", Class: bench.Tiny,
+			Cluster: cs, Ranks: 8, Options: bench.Options{SimSteps: steps}})
+	}
+	jobs = append(jobs, spec.RunSpec{Benchmark: "hpgmgfv", Class: bench.Tiny,
+		Cluster: cs, Ranks: cs.CPU.CoresPerNode() + 1, SimWorkers: 2,
+		Options: bench.Options{SimSteps: 5}})
+
+	resetHistory()
+	outs := campaign.New(4).Run(jobs)
+	resetHistory()
+	for i, rs := range jobs {
+		serial, err := spec.Run(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if outs[i].Err != nil {
+			t.Fatalf("job %d: %v", i, outs[i].Err)
+		}
+		got, want := outs[i].Result.Report.Checks, serial.Report.Checks
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("job %d: %d checks, serial run has %d", i, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] || math.Float64bits(got[k].Value) != math.Float64bits(want[k].Value) {
+				t.Errorf("job %d (SimSteps %d): check %+v, serial run gives %+v",
+					i, rs.Options.SimSteps, got[k], want[k])
+			}
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package hpgmgfv
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // multigrid is a real 3D geometric multigrid solver for the Poisson
 // problem -lap(u) = f with Dirichlet walls on this rank's local grid:
@@ -194,4 +197,33 @@ func (mg *multigrid) residualNorm() float64 {
 		sum += v * v
 	}
 	return math.Sqrt(sum)
+}
+
+// shared is the one hierarchy behind residualHistory: the local grid is
+// fixed at 16^3 and its right-hand side depends on nothing about the rank
+// or the job, so every rank of every job follows the same trajectory.
+var shared struct {
+	sync.Mutex
+	mg    *multigrid
+	norms []float64 // norms[i]: finest-level residual after i V-cycles
+}
+
+// residualHistory returns the finest-level residual norm of the shared
+// 16^3 problem before the first V-cycle and after each of the first steps
+// cycles (steps+1 entries). The hierarchy is cycled lazily to the largest
+// step count asked for so far. Entries are written once, before they are
+// published, and the returned slice is capped, so callers may read it
+// without the lock and an append cannot clobber the shared history.
+func residualHistory(steps int) []float64 {
+	shared.Lock()
+	defer shared.Unlock()
+	if shared.mg == nil {
+		shared.mg = newMultigrid(16)
+		shared.norms = append(shared.norms, shared.mg.residualNorm())
+	}
+	for len(shared.norms) <= steps {
+		shared.mg.vCycle()
+		shared.norms = append(shared.norms, shared.mg.residualNorm())
+	}
+	return shared.norms[: steps+1 : steps+1]
 }
