@@ -17,6 +17,9 @@ type sweeper struct {
 	// overwrites them fully and the caller hands them straight to Isend,
 	// which copies, so one pair per sweeper suffices.
 	outX, outY []float64
+	// zeros is the vacuum row upwind of the first z plane; padY holds a
+	// missing or short inflow y-face row, zero-filled.
+	zeros, padY []float64
 }
 
 func newSweeper(w, h, d, na, ng int) *sweeper {
@@ -33,6 +36,7 @@ func newSweeper(w, h, d, na, ng int) *sweeper {
 	s.psi = make([]float64, ng*na*d*h*w)
 	s.outX = make([]float64, s.faceXLen())
 	s.outY = make([]float64, s.faceYLen())
+	s.zeros, s.padY = make([]float64, w), make([]float64, w)
 	return s
 }
 
@@ -57,48 +61,43 @@ func (s *sweeper) sweepBlock(oct int, inX, inY []float64) (outX, outY []float64)
 	ys, ye := sweepRange(s.h, sy)
 	zs, ze := sweepRange(s.d, sz)
 
-	faceAt := func(face []float64, i int) float64 {
-		if face == nil || i >= len(face) {
-			return 0 // vacuum / size-mismatch tolerance
-		}
-		return face[i]
-	}
-
 	outX, outY = s.outX, s.outY
-	// Strides of the flattened [g][a][z][y][x] layout: moving one cell in
-	// y is w, in z is h*w; the upwind neighbors at i are i-sx, i-sy*w,
-	// and i-sz*h*w. Running row indices replace the 5-term idx() products
-	// in the innermost loop; the update expression is unchanged.
-	yStride := s.w
-	zStride := s.h * s.w
+	// Each row of the flattened [g][a][z][y][x] layout reads its upwind y
+	// and z neighbors from whole rows picked once per row (the inflow face,
+	// vacuum below the first plane) and carries the upwind x value, the psi
+	// just written, in px. Update expression and visit order are unchanged.
+	w := s.w
+	zStride := s.h * w
 	for g := 0; g < s.ng; g++ {
 		for a := 0; a < s.na; a++ {
 			mu, eta, xi := s.mu[a], s.eta[a], s.xi[a]
 			denom := mu + eta + xi + s.sigma
 			plane := (g*s.na + a) * s.d
 			for z := zs; z != ze; z += sz {
-				faceYbase := (plane + z) * s.w
+				yUp := s.padY // inflow y-face row, zero-filled where missing or short
+				if off := (plane + z) * w; off+w <= len(inY) {
+					yUp = inY[off : off+w]
+				} else {
+					clear(yUp)
+					copy(yUp, inY[min(off, len(inY)):])
+				}
 				for y := ys; y != ye; y += sy {
-					row := ((plane+z)*s.h + y) * s.w
 					faceX := (plane+z)*s.h + y
-					for x := xs; x != xe; x += sx {
-						i := row + x
-						var px, py, pz float64
-						if x == xs {
-							px = faceAt(inX, faceX)
-						} else {
-							px = s.psi[i-sx]
-						}
-						if y == ys {
-							py = faceAt(inY, faceYbase+x)
-						} else {
-							py = s.psi[i-sy*yStride]
-						}
-						if z != zs {
-							pz = s.psi[i-sz*zStride]
-						}
-						s.psi[i] = (s.q + mu*px + eta*py + xi*pz) / denom
+					row := faceX * w
+					zUp := s.zeros
+					if z != zs {
+						zUp = s.psi[row-sz*zStride:]
 					}
+					var px float64
+					if faceX < len(inX) {
+						px = inX[faceX]
+					}
+					cur := s.psi[row : row+w]
+					for x := xs; x != xe; x += sx {
+						px = (s.q + mu*px + eta*yUp[x] + xi*zUp[x]) / denom
+						cur[x] = px
+					}
+					yUp = cur
 				}
 			}
 		}
