@@ -5,7 +5,10 @@
 // Each kernel runs real (scaled-down) numerics through the simulated MPI
 // runtime while charging the machine model with paper-scale work: the
 // Options.ScaleDiv divisor shrinks only the in-memory arrays, never the
-// communication structure or the modeled flop/byte counts.
+// communication structure or the modeled flop/byte counts. Where a
+// kernel's local grid is fixed and rank-independent (hpgmgfv's 16^3
+// multigrid), its trajectory is computed once per process and shared by
+// every rank of every job.
 package bench
 
 import (

@@ -193,3 +193,14 @@ func TestSharedHistoryConcurrentJobs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkVCycle times one V-cycle plus the residual norm on the 16^3
+// hierarchy: the work residualHistory does once per cycle per process.
+func BenchmarkVCycle(b *testing.B) {
+	mg := newMultigrid(16)
+	b.ReportAllocs()
+	for b.Loop() {
+		mg.vCycle()
+		mg.residualNorm()
+	}
+}

@@ -108,3 +108,14 @@ func TestVectorizationRatio(t *testing.T) {
 		t.Fatalf("SIMD ratio = %.3f, want ~0.891", r)
 	}
 }
+
+// BenchmarkSweepBlock times one octant sweep of a 12x12x8 block (two
+// angles, two groups) fed full inflow faces: the kernel's inner loop.
+func BenchmarkSweepBlock(b *testing.B) {
+	inX, inY := newSweeper(12, 12, 8, 2, 2).sweepBlock(0, nil, nil)
+	s := newSweeper(12, 12, 8, 2, 2)
+	b.ReportAllocs()
+	for oct := 0; b.Loop(); oct++ {
+		s.sweepBlock(oct&7, inX, inY)
+	}
+}

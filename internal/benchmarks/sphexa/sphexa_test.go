@@ -141,3 +141,16 @@ func TestComputeBoundScaling(t *testing.T) {
 		t.Fatalf("18-core speedup = %.1f, want near-linear (>12)", speedup)
 	}
 }
+
+// BenchmarkSPHPasses times one density and one force pass over a rank's
+// 6^3 particle box with periodic halos from both z faces, as each
+// simulated step runs them.
+func BenchmarkSPHPasses(b *testing.B) {
+	p := newParticles(0, 6)
+	p.setHalo(p.haloParticles(true), p.haloParticles(false))
+	b.ReportAllocs()
+	for b.Loop() {
+		p.densityPass()
+		p.forcePass()
+	}
+}

@@ -42,12 +42,6 @@ MAX_GROWTH="${BENCH_MAX_GROWTH_PCT:-10}"
 MIN_COUNT="${BENCH_MIN_COUNT:-5}"
 MICRO_PKGS="./internal/sim ./internal/mpi ./internal/surrogate"
 
-# Accept the legacy metric spellings the PR 3 gate used.
-case "$METRIC" in
-ns_op) METRIC="ns/op" ;;
-allocs_op) METRIC="allocs/op" ;;
-esac
-
 # run_benches <packages> <bench regex> <benchtime> <count>
 # Emits raw benchfmt on stdout; non-result lines (goos/pkg headers,
 # PASS) ride along harmlessly — the parser skips them.
