@@ -90,19 +90,16 @@ func BenchmarkPot3dMultiNodeJob(b *testing.B) {
 	runMultiNodeJob(b, rs)
 }
 
-// BenchmarkComputeHeavyMultiNodeJob measures the regime the adaptive
-// earliest-output window targets: an under-populated cluster (eight
-// ranks per node, standard practice for bandwidth-bound codes) running
-// long compute stretches whose ranks drain memory/L3 flows at
-// core-staggered rates. Every node carries the same byte-class
-// multiset, so each interior flow-completion cluster lands on all
-// sixteen partitions at once and the static engine pays a full
-// multi-partition barrier for it; the adaptive oracle promises the
-// phase end and swallows the whole stretch in one window —
-// Result.Psim records the collapse (~1.6k static windows to ~100).
-// This is the job the CI adaptive gate asserts on: workers=8 (adaptive,
-// the default) vs static-workers=8 via benchgate -assert.
-func BenchmarkComputeHeavyMultiNodeJob(b *testing.B) {
+// computeHeavyJob is the regime the earliest-output window targets: an
+// under-populated cluster (eight ranks per node, standard practice for
+// bandwidth-bound codes) running long compute stretches whose ranks
+// drain memory/L3 flows at core-staggered rates. Every node carries the
+// same byte-class multiset, so each interior flow-completion cluster
+// lands on all sixteen partitions at once; latency-floor windows would
+// pay a full multi-partition barrier for each (1,643 windows), while
+// the oracle promises the phase end and swallows the whole stretch in
+// one window. The config runs serially; set SimWorkers to partition it.
+func computeHeavyJob() (mpi.Config, func(*mpi.Rank)) {
 	cs := *machine.MustGet("ClusterA")
 	cs.CPU.CoresPerSocket = 4
 	cs.CPU.DomainsPerSocket = 1
@@ -120,12 +117,53 @@ func BenchmarkComputeHeavyMultiNodeJob(b *testing.B) {
 			r.Allreduce([]float64{1}, 8, mpi.OpSum)
 		}
 	}
-	run := func(name string, workers int, static bool) {
+	return mpi.Config{Cluster: &cs, Ranks: cs.MaxNodes * cpn}, body
+}
+
+// TestComputeHeavyWindowCeiling pins the window collapse on
+// computeHeavyJob with deterministic counters instead of a timing gate:
+// the partitioned run must stay at or under its window ceiling, merge
+// exactly the job's cross-node mail, and reproduce the serial wall time.
+// Lowering the ceiling is how a tighter earliest-output oracle shows.
+func TestComputeHeavyWindowCeiling(t *testing.T) {
+	const maxWindows, wantMail = 107, 3072
+	cfg, body := computeHeavyJob()
+	serial, err := mpi.Run(cfg, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.SimWorkers = 8
+	res, err := mpi.Run(cfg, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Partitioned {
+		t.Fatal("job did not run on the partitioned engine")
+	}
+	if res.Psim.Windows > maxWindows {
+		t.Errorf("%d windows, ceiling %d", res.Psim.Windows, maxWindows)
+	}
+	if res.Psim.Mail != wantMail {
+		t.Errorf("%d mail merged, want %d", res.Psim.Mail, wantMail)
+	}
+	if res.Wall != serial.Wall {
+		t.Errorf("partitioned wall %v, serial wall %v", res.Wall, serial.Wall)
+	}
+}
+
+// BenchmarkComputeHeavyMultiNodeJob measures computeHeavyJob on the
+// serial engine and the partitioned engine at rising worker counts;
+// TestComputeHeavyWindowCeiling pins its window count.
+func BenchmarkComputeHeavyMultiNodeJob(b *testing.B) {
+	cfg, body := computeHeavyJob()
+	for _, w := range []int{0, 2, 4, 8} {
+		name := "serial"
+		if w > 0 {
+			name = fmt.Sprintf("workers=%d", w)
+		}
 		b.Run(name, func(b *testing.B) {
-			cfg := mpi.Config{
-				Cluster: &cs, Ranks: cs.MaxNodes * cpn,
-				SimWorkers: workers, StaticWindows: static,
-			}
+			cfg := cfg
+			cfg.SimWorkers = w
 			for i := 0; i < b.N; i++ {
 				if _, err := mpi.Run(cfg, body); err != nil {
 					b.Fatal(err)
@@ -133,23 +171,19 @@ func BenchmarkComputeHeavyMultiNodeJob(b *testing.B) {
 			}
 		})
 	}
-	run("serial", 0, false)
-	for _, w := range []int{2, 4, 8} {
-		run(fmt.Sprintf("workers=%d", w), w, false)
-	}
-	run("static-workers=8", 8, true)
 }
 
 // runMultiNodeJob emits the shared sub-benchmark ladder: the serial
-// engine, the partitioned engine at rising worker counts (adaptive
-// windows, the default), and the saturated worker count pinned to
-// static latency-floor windows as the adaptive baseline.
+// engine and the partitioned engine at rising worker counts.
 func runMultiNodeJob(b *testing.B, rs spec.RunSpec) {
-	run := func(name string, workers int, static bool) {
+	for _, w := range []int{0, 2, 4, 8} {
+		name := "serial"
+		if w > 0 {
+			name = fmt.Sprintf("workers=%d", w)
+		}
 		b.Run(name, func(b *testing.B) {
 			job := rs
-			job.SimWorkers = workers
-			job.SimStaticWindows = static
+			job.SimWorkers = w
 			for i := 0; i < b.N; i++ {
 				if _, err := spec.Run(job); err != nil {
 					b.Fatal(err)
@@ -157,11 +191,6 @@ func runMultiNodeJob(b *testing.B, rs spec.RunSpec) {
 			}
 		})
 	}
-	run("serial", 0, false)
-	for _, w := range []int{2, 4, 8} {
-		run(fmt.Sprintf("workers=%d", w), w, false)
-	}
-	run("static-workers=8", 8, true)
 }
 func BenchmarkFig6PowerEnergy(b *testing.B)  { runExperiment(b, figures.Fig6) }
 func BenchmarkTextScalingCases(b *testing.B) { runExperiment(b, figures.TextCases) }

@@ -47,8 +47,6 @@ func main() {
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 	simWorkers := flag.Int("sim-workers", 0,
 		"intra-job parallel engine workers for multi-node jobs (0 = let the scheduler grant idle cores, -1 = always serial)")
-	simStatic := flag.Bool("sim-static", false,
-		"pin the parallel engine to static latency-floor windows (default: adaptive earliest-output widening; results are identical)")
 	flag.Parse()
 
 	stop, err := profiling.StartWith(profiling.Options{
@@ -75,7 +73,6 @@ func main() {
 		os.Exit(1)
 	}
 	engine.Scheduler().SetSimWorkers(*simWorkers)
-	engine.Scheduler().SetStaticWindows(*simStatic)
 
 	var clusterList []string
 	if *clusters != "" {

@@ -68,8 +68,6 @@ func main() {
 	mutexProfile := flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 	simWorkers := flag.Int("sim-workers", 0,
 		"intra-job parallel engine workers for multi-node jobs (0 = let the scheduler grant idle cores, -1 = always serial)")
-	simStatic := flag.Bool("sim-static", false,
-		"pin the parallel engine to static latency-floor windows (default: adaptive earliest-output widening; results are identical)")
 	verbose := flag.Bool("v", false, "print parallel-engine window statistics to stderr")
 	flag.Parse()
 
@@ -108,7 +106,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		engine := newEngine(*parallel, *cacheDir, *simWorkers, *simStatic)
+		engine := newEngine(*parallel, *cacheDir, *simWorkers)
 		p := &scenario.Planner{Engine: engine}
 		if err := p.Execute(sc, os.Stdout, *outDir); err != nil {
 			fatal(err)
@@ -136,7 +134,7 @@ func main() {
 		fatal(err)
 	}
 
-	engine := newEngine(*parallel, *cacheDir, *simWorkers, *simStatic)
+	engine := newEngine(*parallel, *cacheDir, *simWorkers)
 	defer reportStats(engine, *cacheDir, *verbose)
 	base := spec.RunSpec{
 		Benchmark: *name,
@@ -329,13 +327,12 @@ func runSweep(engine *campaign.Engine, base spec.RunSpec, points []int) error {
 
 // newEngine builds the campaign engine, attaching the persistent store
 // when -cache-dir is set and applying the -sim-workers grant policy.
-func newEngine(workers int, cacheDir string, simWorkers int, simStatic bool) *campaign.Engine {
+func newEngine(workers int, cacheDir string, simWorkers int) *campaign.Engine {
 	engine, err := campaign.NewWithCacheDir(workers, cacheDir)
 	if err != nil {
 		fatal(err)
 	}
 	engine.Scheduler().SetSimWorkers(simWorkers)
-	engine.Scheduler().SetStaticWindows(simStatic)
 	return engine
 }
 
@@ -355,8 +352,8 @@ func reportStats(engine *campaign.Engine, cacheDir string, verbose bool) {
 		return
 	}
 	fmt.Fprintf(os.Stderr,
-		"psim: %d runs (%d adaptive), %d windows (%d widened), %d mail merged, %d idle partition-windows, window span %.3gs..%.3gs\n",
-		pt.Runs, pt.AdaptiveRuns, pt.Windows, pt.AdaptiveWindows,
+		"psim: %d runs, %d windows (%d widened), %d mail merged, %d idle partition-windows, window span %.3gs..%.3gs\n",
+		pt.Runs, pt.Windows, pt.AdaptiveWindows,
 		pt.Mail, pt.IdleParts, pt.Narrowest, pt.Widest)
 }
 

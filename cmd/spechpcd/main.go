@@ -68,8 +68,6 @@ func main() {
 	degraded := flag.Bool("degraded", false, "answer queue-saturated job submissions from the surrogate fast tier instead of shedding (requires -surrogate and -max-queue)")
 	simWorkers := flag.Int("sim-workers", 0,
 		"intra-job parallel engine workers for multi-node jobs (0 = grant idle cores when the queue is empty, -1 = always serial)")
-	simStatic := flag.Bool("sim-static", false,
-		"pin the parallel engine to static latency-floor windows (default: adaptive earliest-output widening; results are identical)")
 	flag.Parse()
 
 	if *coordinator && *join != "" {
@@ -128,7 +126,6 @@ func main() {
 	}
 	sched := campaign.NewScheduler(*parallel, store)
 	sched.SetSimWorkers(*simWorkers)
-	sched.SetStaticWindows(*simStatic)
 
 	// With -surrogate, warm-start the fast tier from every result already
 	// persisted, then keep learning: the scheduler feeds each fresh exact

@@ -148,8 +148,7 @@ func field(v reflect.Value, path []int) reflect.Value {
 // guarantee SimWorkers has (pinned by the parity goldens in
 // internal/spec).
 var keyExempt = map[string]bool{
-	"RunSpec.SimWorkers":       true,
-	"RunSpec.SimStaticWindows": true,
+	"RunSpec.SimWorkers": true,
 }
 
 // TestKeyCoversEveryField perturbs every exported scalar field reachable

@@ -195,9 +195,9 @@ func (q *jobQueue) Pop() any {
 // lifetime (and, with a Store attached, across processes). A Scheduler
 // is safe for concurrent use from any number of goroutines.
 //
-// The synchronous Engine API (Run, Sweep, SweepAll, FrequencySweep) is a
-// thin adapter over a Scheduler — CLIs and tests use it unchanged, while
-// the HTTP service (internal/service) drives the Scheduler directly.
+// The synchronous Engine (Run, RunCtx) is a thin batch adapter over a
+// Scheduler for CLIs, figures and tests, while the HTTP service
+// (internal/service) drives the Scheduler directly.
 type Scheduler struct {
 	workers int
 	store   Store
@@ -216,11 +216,6 @@ type Scheduler struct {
 	// 0 grants automatically when the campaign cannot keep the pool busy,
 	// -1 never grants, n > 0 forces n workers onto every eligible job.
 	simWorkers int
-
-	// staticWindows pins granted partitioned jobs to static latency-floor
-	// windows (SetStaticWindows); wall-clock strategy only, results and
-	// job keys are unaffected.
-	staticWindows bool
 
 	mu      sync.Mutex
 	cache   map[string]*schedJob // every key ever submitted (minus cancelled/evicted)
@@ -320,19 +315,6 @@ func (s *Scheduler) SetSimWorkers(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.simWorkers = n
-}
-
-// SetStaticWindows disables the partitioned engine's adaptive window
-// widening for every job this scheduler grants workers to, pinning the
-// static latency-floor windows (spec.RunSpec.SimStaticWindows). Like
-// SetSimWorkers it selects wall-clock strategy only: results stay
-// byte-identical and job keys are unchanged, so flipping it never splits
-// the memo or the persistent store. Intended for benchmarking and
-// engine bisection. Call before submitting work.
-func (s *Scheduler) SetStaticWindows(static bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.staticWindows = static
 }
 
 // grantWorkersLocked decides the intra-job worker grant for a job about
@@ -549,9 +531,6 @@ func (s *Scheduler) worker() {
 		// still visible; the granted spec shares the job's key (SimWorkers
 		// is execution strategy, not identity).
 		rs := withSimWorkers(j.rs, s.grantWorkersLocked())
-		if rs.SimWorkers > 1 && s.staticWindows {
-			rs.SimStaticWindows = true
-		}
 		s.mu.Unlock()
 
 		res, err := s.execute(j.key, rs)

@@ -82,40 +82,6 @@ func TestSchedulerGrantPolicy(t *testing.T) {
 	}
 }
 
-// TestSchedulerStaticWindows checks SetStaticWindows rides along with
-// worker grants — granted jobs run with static windows when set, and
-// ungranted (serial) jobs never carry the flag.
-func TestSchedulerStaticWindows(t *testing.T) {
-	run := func(static bool, rs spec.RunSpec) (workers int, staticSeen bool) {
-		s := NewScheduler(4, nil)
-		s.SetSimWorkers(4)
-		s.SetStaticWindows(static)
-		var mu sync.Mutex
-		s.SetRunner(func(rs spec.RunSpec) (spec.RunResult, error) {
-			mu.Lock()
-			workers, staticSeen = rs.SimWorkers, rs.SimStaticWindows
-			mu.Unlock()
-			return spec.Run(rs)
-		})
-		defer s.Close()
-		if out := s.Submit(context.Background(), rs).Wait(context.Background()); out.Err != nil {
-			t.Fatalf("static=%v: %v", static, out.Err)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return workers, staticSeen
-	}
-	if w, st := run(true, counterJob(100)); w != 4 || !st {
-		t.Errorf("granted job ran workers=%d static=%v, want 4/true", w, st)
-	}
-	if _, st := run(false, counterJob(100)); st {
-		t.Error("adaptive scheduler pinned static windows")
-	}
-	if w, st := run(true, counterJob(4)); w != 0 || st {
-		t.Errorf("single-node job ran workers=%d static=%v; the flag must ride worker grants only", w, st)
-	}
-}
-
 // TestGrantedJobSharesSerialKey confirms a granted execution memoizes
 // under the job's serial identity: a follow-up serial submission of the
 // same spec must hit the memo, not re-simulate.

@@ -56,12 +56,6 @@ type Config struct {
 	// SimWorkers <= 1 run serially. Requires a fabric with a positive
 	// latency floor.
 	SimWorkers int
-	// StaticWindows disables the adaptive earliest-output-time window
-	// widening of the partitioned engine, pinning every window to the
-	// fabric latency floor (the pre-adaptive behavior). Results are
-	// byte-identical either way; the knob exists for benchmarking and
-	// bisection. Ignored on the serial path.
-	StaticWindows bool
 }
 
 // Result is the outcome of a simulated job.
@@ -192,7 +186,7 @@ func (o *nodeOracle) EarliestOutputTime() float64 {
 }
 
 // notePending adjusts the unsettled-envelope count of a rank's node.
-// No-op outside adaptive partitioned runs.
+// No-op on the serial engine.
 func (j *Job) notePending(rank int, d int64) {
 	if j.oracleOn {
 		j.pending[j.ranks[rank].place.Node].n.Add(d)
@@ -465,13 +459,10 @@ func runPartitioned(cfg Config, nodes int, body func(r *Rank)) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("mpi: SimWorkers=%d: %w", cfg.SimWorkers, err)
 	}
-	adaptive := !cfg.StaticWindows
-	eng := psim.Acquire(nodes, cfg.SimWorkers, floor, adaptive)
+	eng := psim.Acquire(nodes, cfg.SimWorkers, floor)
 	job := jobPool.Get().(*Job)
 	job.init(eng, cfg, body)
-	if adaptive {
-		job.attachOracle(eng, nodes)
-	}
+	job.attachOracle(eng, nodes)
 	if err := eng.Run(); err != nil {
 		// Failed runs abandon the job (blocked rank coroutines may still
 		// reference it); the engine releases what stayed clean.

@@ -14,9 +14,9 @@ import (
 // phases closed by one collective. Every rank has the same in-core time
 // (globally aligned phase ends) but rank-staggered L3/memory traffic, so
 // each phase scatters flow-completion events across many distinct
-// interior times. The static engine must barrier on every one of those
-// clusters; the adaptive oracle promises the phase end and swallows the
-// whole interior in a single window.
+// interior times. Latency-floor windows would barrier on every one of
+// those clusters (240 windows); the oracle promises the phase end and
+// swallows the whole interior in a single window.
 func computeHeavyBody(r *Rank) {
 	for iter := 0; iter < 6; iter++ {
 		r.Compute(machine.Phase{
@@ -29,41 +29,36 @@ func computeHeavyBody(r *Rank) {
 	r.Allreduce([]float64{1}, 8, OpSum)
 }
 
-// TestAdaptiveWindowCollapse pins the tentpole win mechanically: the
-// same compute-heavy job runs under static and adaptive windows, must
-// produce identical results, and the adaptive run must execute orders
-// of magnitude fewer window barriers.
+// TestAdaptiveWindowCollapse pins the window collapse mechanically: the
+// compute-heavy job must reproduce the serial engine's Usage on the
+// partitioned engine, widen windows, stay under its window ceiling, and
+// merge exactly the job's cross-node mail.
 func TestAdaptiveWindowCollapse(t *testing.T) {
+	const maxWindows, wantMail = 12, 84
 	ranks := machine.ClusterA().CPU.CoresPerNode() + 3 // two nodes
-	base := Config{Cluster: machine.ClusterA(), Ranks: ranks, SimWorkers: 2}
-
-	static := base
-	static.StaticWindows = true
-	sres, err := Run(static, computeHeavyBody)
+	base := Config{Cluster: machine.ClusterA(), Ranks: ranks}
+	sres, err := Run(base, computeHeavyBody)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ares, err := Run(base, computeHeavyBody)
+	cfg := base
+	cfg.SimWorkers = 2
+	res, err := Run(cfg, computeHeavyBody)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ares.Usage, sres.Usage) {
-		t.Errorf("adaptive Usage diverged from static:\n got %+v\nwant %+v",
-			ares.Usage, sres.Usage)
+	if !reflect.DeepEqual(res.Usage, sres.Usage) {
+		t.Errorf("partitioned Usage diverged from serial:\n got %+v\nwant %+v",
+			res.Usage, sres.Usage)
 	}
-	if sres.Psim.AdaptiveWindows != 0 {
-		t.Errorf("static run widened %d windows", sres.Psim.AdaptiveWindows)
+	if res.Psim.AdaptiveWindows == 0 {
+		t.Error("partitioned run never widened a window")
 	}
-	if ares.Psim.AdaptiveWindows == 0 {
-		t.Error("adaptive run never widened a window")
+	if res.Psim.Windows > maxWindows {
+		t.Errorf("%d windows, ceiling %d", res.Psim.Windows, maxWindows)
 	}
-	if ares.Psim.Windows*10 > sres.Psim.Windows {
-		t.Errorf("windows did not collapse: adaptive %d vs static %d",
-			ares.Psim.Windows, sres.Psim.Windows)
-	}
-	if ares.Psim.Mail != sres.Psim.Mail {
-		t.Errorf("mail diverged: adaptive %d vs static %d — the same simulation must flow through the barriers",
-			ares.Psim.Mail, sres.Psim.Mail)
+	if res.Psim.Mail != wantMail {
+		t.Errorf("%d mail merged, want %d", res.Psim.Mail, wantMail)
 	}
 }
 
@@ -168,34 +163,24 @@ func TestAdaptiveZeroComputeFloor(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStaticOscillation bounces one job between the serial
-// engine and partitioned runs with adaptive and static windows, on
-// pooled jobs and environments; results must stay bit-identical
-// throughout. Under -race this also exercises the oracle's cross-window
-// atomics against the engine's barrier reads.
-func TestAdaptiveStaticOscillation(t *testing.T) {
+// TestWorkerOscillation bounces one job between the serial engine and
+// partitioned runs at several worker counts, on pooled jobs and
+// environments; results must stay bit-identical throughout. Under -race
+// this also exercises the oracle's cross-window atomics against the
+// engine's barrier reads.
+func TestWorkerOscillation(t *testing.T) {
 	ranks := machine.ClusterA().CPU.CoresPerNode() + 3
 	var want Result
-	steps := []struct {
-		workers int
-		static  bool
-	}{
-		{0, false}, {8, false}, {8, true}, {2, false}, {0, true},
-		{4, true}, {4, false}, {8, false}, {0, false},
-	}
-	for i, st := range steps {
-		cfg := Config{
-			Cluster: machine.ClusterA(), Ranks: ranks,
-			SimWorkers: st.workers, StaticWindows: st.static,
-		}
+	for i, workers := range []int{0, 8, 2, 0, 4, 8, 0} {
+		cfg := Config{Cluster: machine.ClusterA(), Ranks: ranks, SimWorkers: workers}
 		res, err := Run(cfg, computeHeavyBody)
 		if err != nil {
-			t.Fatalf("step %d (workers=%d static=%v): %v", i, st.workers, st.static, err)
+			t.Fatalf("step %d (workers=%d): %v", i, workers, err)
 		}
 		if i == 0 {
 			want = res
 		} else if !reflect.DeepEqual(res.Usage, want.Usage) {
-			t.Errorf("step %d (workers=%d static=%v) diverged", i, st.workers, st.static)
+			t.Errorf("step %d (workers=%d) diverged", i, workers)
 		}
 	}
 }

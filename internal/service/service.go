@@ -281,7 +281,7 @@ type statszResponse struct {
 	Fleet *statszFleet `json:"fleet,omitempty"`
 	// Psim is the process-wide partitioned-engine window accounting:
 	// how many runs used the parallel engine, how many windows they
-	// executed, and how far the adaptive oracle widened them.
+	// executed, and how many of those the earliest-output oracle widened.
 	Psim statszPsim `json:"psim"`
 }
 
@@ -289,7 +289,6 @@ type statszResponse struct {
 // seconds.
 type statszPsim struct {
 	Runs            int64   `json:"runs"`
-	AdaptiveRuns    int64   `json:"adaptive_runs"`
 	Windows         int64   `json:"windows"`
 	AdaptiveWindows int64   `json:"adaptive_windows"`
 	Mail            int64   `json:"mail_merged"`
@@ -388,7 +387,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	pt := psim.Snapshot()
 	resp.Psim = statszPsim{
 		Runs:            pt.Runs,
-		AdaptiveRuns:    pt.AdaptiveRuns,
 		Windows:         pt.Windows,
 		AdaptiveWindows: pt.AdaptiveWindows,
 		Mail:            pt.Mail,

@@ -20,22 +20,23 @@
 // engine's identity to the partitioned one is pinned by the determinism
 // goldens in internal/spec.
 //
-// In adaptive mode the engine widens windows beyond the static floor
-// using per-partition earliest-output-time promises (sim.Env's
-// EarliestOutput, fed by the MPI layer's oracle): each barrier advances
-// to min over partitions of EOT plus the latency floor. Because every
+// Windows widen beyond the latency floor using per-partition
+// earliest-output-time promises (sim.Env's EarliestOutput, fed by the
+// MPI layer's oracle): each barrier advances to min over partitions of
+// EOT plus the latency floor, and never to less than T+L. Because every
 // promise is a sound lower bound on the partition's next cross-node
 // send, all mail posted inside the wider window still carries
-// timestamps at or past the next barrier, and because windows only
-// partition virtual time — equal-timestamp mail always lands in the
-// same window under any window schedule — the canonical merge order,
-// and therefore the output bytes, are unchanged. A compute-heavy job
-// that would take ~10^5 latency-floor windows collapses to a few
-// hundred barriers.
+// timestamps at or past the next barrier; Post rejects mail that breaks
+// that contract, failing the run. Because windows only partition
+// virtual time — equal-timestamp mail always lands in the same window
+// under any window schedule — the canonical merge order, and therefore
+// the output bytes, are unchanged. A compute-heavy job that would take
+// ~10^5 latency-floor windows collapses to a few hundred barriers.
 package psim
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -70,7 +71,6 @@ type Engine struct {
 	partStore []*partition
 	lookahead float64
 	workers   int
-	adaptive  bool
 
 	window float64 // current window end, set before dispatch
 	inbox  []mail  // per-destination merge scratch
@@ -82,15 +82,15 @@ type Engine struct {
 }
 
 // Stats counts one run's window behavior; read it with Engine.Stats
-// after Run and before Release. The counters are what make the adaptive
-// win observable without a profiler: a compute-heavy job shows Windows
-// collapsing by orders of magnitude versus static mode while Mail stays
-// identical (the same simulation flows through fewer barriers).
+// after Run and before Release. The counters make the window policy
+// observable without a profiler: a compute-heavy job shows Windows
+// orders of magnitude below the latency-floor count while Mail counts
+// the same simulation's cross-partition traffic.
 type Stats struct {
 	// Windows is the number of barrier-to-barrier windows executed.
 	Windows int64
 	// AdaptiveWindows counts windows the oracle widened beyond the
-	// static latency floor. Zero in static mode.
+	// latency floor.
 	AdaptiveWindows int64
 	// Mail is the number of cross-partition events merged at barriers.
 	Mail int64
@@ -141,9 +141,8 @@ var (
 // Totals aggregates window statistics across all engine runs in this
 // process.
 type Totals struct {
-	// Runs counts completed Engine.Run calls; AdaptiveRuns those in
-	// adaptive mode.
-	Runs, AdaptiveRuns int64
+	// Runs counts completed Engine.Run calls.
+	Runs int64
 	Stats
 }
 
@@ -161,9 +160,6 @@ func (g *Engine) flushTotals() {
 	totalsMu.Lock()
 	defer totalsMu.Unlock()
 	totals.Runs++
-	if g.adaptive {
-		totals.AdaptiveRuns++
-	}
 	totals.Stats.merge(g.stat)
 }
 
@@ -175,11 +171,11 @@ var enginePool = sync.Pool{New: func() any { return &Engine{} }}
 // Acquire returns an engine for a job spanning nodes partitions,
 // executed by up to workers concurrent executors, with the given
 // conservative lookahead (netsim.Spec.LatencyFloor). Each partition
-// gets a reset environment from the sim pool. With adaptive set, the
-// engine widens windows past the static floor using the partitions'
-// EarliestOutput bounds; callers that register no oracle get static
-// behavior either way, so adaptive is safe to request unconditionally.
-func Acquire(nodes, workers int, lookahead float64, adaptive bool) *Engine {
+// gets a reset environment from the sim pool. Windows widen past the
+// latency floor using the partitions' EarliestOutput bounds; partitions
+// with no oracle promise only their next event time, which keeps their
+// windows at the floor.
+func Acquire(nodes, workers int, lookahead float64) *Engine {
 	if nodes <= 0 {
 		panic("psim: engine with no partitions")
 	}
@@ -188,7 +184,7 @@ func Acquire(nodes, workers int, lookahead float64, adaptive bool) *Engine {
 	}
 	g := enginePool.Get().(*Engine)
 	g.lookahead = lookahead
-	g.adaptive = adaptive
+	g.window = 0
 	g.stat = Stats{}
 	g.workers = workers
 	if g.workers > nodes {
@@ -235,11 +231,19 @@ func (g *Engine) NodeEnv(node int) *sim.Env { return g.parts[node].env }
 // Post schedules fn(arg) at absolute time t on node dst's partition.
 // Same-partition posts schedule directly; cross-partition posts go to
 // the source's outbox and are merged at the next window barrier. The
-// conservative contract — t is at least one lookahead past the source
-// clock — guarantees the destination has not advanced past t.
+// conservative contract — t is at or past the current window end, which
+// the source's earliest-output promise and the lookahead guarantee —
+// means the destination has not advanced past t. Mail that breaks it
+// would land in the destination's past, so it is dropped and fails the
+// run instead.
 func (g *Engine) Post(src, dst int, t float64, fn func(any), arg any) {
 	if src == dst {
 		g.parts[src].env.AtArg(t, fn, arg)
+		return
+	}
+	if t < g.window {
+		g.fail(fmt.Errorf("psim: partition %d posted mail for partition %d at t=%g, inside the window ending at %g",
+			src, dst, t, g.window))
 		return
 	}
 	p := g.parts[src]
@@ -248,14 +252,13 @@ func (g *Engine) Post(src, dst int, t float64, fn func(any), arg any) {
 
 // Run executes the window loop to completion: deliver pending mail,
 // find the global minimum next-event time T, execute every partition's
-// events in [T, w) concurrently, repeat. The window end w is the static
-// T+lookahead, or — in adaptive mode — the global earliest-output bound
-// plus the lookahead, whichever is later: every partition has promised
-// not to post cross-partition mail before the bound, and all mail
-// trails its cause by at least the lookahead, so nothing can land
-// inside the wider window. It returns the first process panic, or a
-// deadlock error if parked processes remain after all queues and
-// mailboxes drain.
+// events in [T, w) concurrently, repeat. The window end w is the global
+// earliest-output bound plus the lookahead, or T+lookahead if that is
+// later: every partition has promised not to post cross-partition mail
+// before the bound, and all mail trails its cause by at least the
+// lookahead, so nothing can land inside the window. It returns the
+// first process panic or broken Post contract, or a deadlock error if
+// parked processes remain after all queues and mailboxes drain.
 func (g *Engine) Run() error {
 	defer g.flushTotals()
 	if g.workers > 1 {
@@ -282,15 +285,13 @@ func (g *Engine) Run() error {
 		// Narrowest counter honors "windows only widen" literally.
 		span := g.lookahead
 		w := t + g.lookahead
-		if g.adaptive {
-			// minEarliestOutput is finite here (the partition owning t
-			// reports at most a finite bound while events are queued)
-			// and never below t; the IsInf check is pure defense.
-			if eo := g.minEarliestOutput(); eo > t && !math.IsInf(eo, 1) {
-				w = eo + g.lookahead
-				span = w - t
-				g.stat.AdaptiveWindows++
-			}
+		// minEarliestOutput is finite here (the partition owning t
+		// reports at most a finite bound while events are queued) and
+		// never below t; the IsInf check is pure defense.
+		if eo := g.minEarliestOutput(); eo > t && !math.IsInf(eo, 1) {
+			w = eo + g.lookahead
+			span = w - t
+			g.stat.AdaptiveWindows++
 		}
 		g.noteWindow(span)
 		g.runWindow(w)
@@ -435,10 +436,16 @@ func (g *Engine) worker(work chan *partition) {
 // failure.
 func (g *Engine) runOne(p *partition) {
 	if err := p.env.RunBefore(g.window); err != nil {
-		g.mu.Lock()
-		if g.err == nil {
-			g.err = err
-		}
-		g.mu.Unlock()
+		g.fail(err)
 	}
+}
+
+// fail records err as the run's failure unless an earlier one stands.
+// Partitions call it concurrently from worker goroutines.
+func (g *Engine) fail(err error) {
+	g.mu.Lock()
+	if g.err == nil {
+		g.err = err
+	}
+	g.mu.Unlock()
 }

@@ -40,7 +40,7 @@ func (p *ping) hop(any) {
 // previous one, at every worker count.
 func TestCrossPartitionPingPong(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		g := Acquire(2, workers, look, false)
+		g := Acquire(2, workers, look)
 		p := &ping{g: g, a: 0, b: 1, hops: 5, from: 0}
 		g.NodeEnv(0).AtArg(0, p.hop, nil)
 		if err := g.Run(); err != nil {
@@ -66,7 +66,7 @@ func TestCrossPartitionPingPong(t *testing.T) {
 func TestMergeOrderIsCanonical(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4} {
-		g := Acquire(4, workers, look, false)
+		g := Acquire(4, workers, look)
 		var got strings.Builder
 		rec := func(a any) { fmt.Fprintf(&got, "%s@%v ", a.(string), g.NodeEnv(0).Now()) }
 		// Sources 3, 2, 1 post at identical times; source order must win.
@@ -97,7 +97,7 @@ func TestMergeOrderIsCanonical(t *testing.T) {
 // TestDeadlockDetected parks a process that nothing ever wakes and
 // expects Run to fail once all queues drain.
 func TestDeadlockDetected(t *testing.T) {
-	g := Acquire(2, 2, look, false)
+	g := Acquire(2, 2, look)
 	g.NodeEnv(1).Spawn("stuck", func(p *sim.Proc) { p.Park("never woken") })
 	if err := g.Run(); err == nil {
 		t.Fatal("deadlocked run reported success")
@@ -110,9 +110,9 @@ func TestDeadlockDetected(t *testing.T) {
 // partition count (extra workers could never have work).
 func TestAcquireValidation(t *testing.T) {
 	for _, bad := range []func(){
-		func() { Acquire(0, 1, look, false) },
-		func() { Acquire(2, 1, 0, false) },
-		func() { Acquire(2, 1, -1, false) },
+		func() { Acquire(0, 1, look) },
+		func() { Acquire(2, 1, 0) },
+		func() { Acquire(2, 1, -1) },
 	} {
 		func() {
 			defer func() {
@@ -123,7 +123,7 @@ func TestAcquireValidation(t *testing.T) {
 			bad()
 		}()
 	}
-	g := Acquire(2, 16, look, false)
+	g := Acquire(2, 16, look)
 	if g.workers != 2 {
 		t.Errorf("workers clamped to %d, want 2", g.workers)
 	}
@@ -137,60 +137,46 @@ func (o *boundOracle) EarliestOutputTime() float64 { return o.bound }
 
 // TestAdaptiveWidensWindows drives two partitions whose processes wake
 // repeatedly at sub-promise times without ever posting cross-partition
-// mail before a known bound, and checks the adaptive engine executes the
-// whole stretch in fewer, wider windows than the static floor while the
-// same workload static stays at the floor.
+// mail before a known bound, and checks the engine executes the whole
+// stretch in one widened window (latency-floor windows would need 22)
+// plus the window that delivers the closing mail.
 func TestAdaptiveWidensWindows(t *testing.T) {
 	const wakes = 20
-	run := func(adaptive bool) Stats {
-		g := Acquire(2, 2, look, adaptive)
-		defer g.Release()
-		for i := 0; i < 2; i++ {
-			i := i
-			// Each partition promises nothing can leave before the last
-			// wake; the wakes themselves are 10 lookaheads apart, so the
-			// static engine needs a window per wake.
-			g.NodeEnv(i).SetOutputOracle(&boundOracle{bound: wakes * 10 * look})
-			g.NodeEnv(i).Spawn("ticker", func(p *sim.Proc) {
-				for k := 0; k < wakes; k++ {
-					p.Wait(10 * look)
-				}
-				g.Post(i, 1-i, p.Now()+look, func(any) {}, nil)
-			})
-		}
-		if err := g.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return g.Stats()
+	g := Acquire(2, 2, look)
+	defer g.Release()
+	for i := 0; i < 2; i++ {
+		i := i
+		// Each partition promises nothing can leave before the last
+		// wake; the wakes themselves are 10 lookaheads apart, so a
+		// latency-floor window would cover only one of them.
+		g.NodeEnv(i).SetOutputOracle(&boundOracle{bound: wakes * 10 * look})
+		g.NodeEnv(i).Spawn("ticker", func(p *sim.Proc) {
+			for k := 0; k < wakes; k++ {
+				p.Wait(10 * look)
+			}
+			g.Post(i, 1-i, p.Now()+look, func(any) {}, nil)
+		})
 	}
-	st := run(false)
-	ad := run(true)
-	if st.AdaptiveWindows != 0 {
-		t.Errorf("static run widened %d windows", st.AdaptiveWindows)
+	if err := g.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if ad.AdaptiveWindows == 0 {
-		t.Error("adaptive run never widened a window")
+	st := g.Stats()
+	if st.Windows != 2 || st.AdaptiveWindows != 1 {
+		t.Errorf("%d windows (%d widened), want 2 (1 widened)", st.Windows, st.AdaptiveWindows)
 	}
-	if ad.Windows*5 > st.Windows {
-		t.Errorf("windows did not collapse: adaptive %d vs static %d", ad.Windows, st.Windows)
+	if st.Mail != 2 {
+		t.Errorf("%d mail merged, want 2", st.Mail)
 	}
-	if ad.Narrowest < look {
-		t.Errorf("narrowest window %g below lookahead %g", ad.Narrowest, look)
-	}
-	if ad.Widest <= st.Widest {
-		t.Errorf("adaptive widest %g not beyond static widest %g", ad.Widest, st.Widest)
-	}
-	if ad.Mail != st.Mail {
-		t.Errorf("mail diverged: adaptive %d vs static %d", ad.Mail, st.Mail)
+	if st.Narrowest < look {
+		t.Errorf("narrowest window %g below lookahead %g", st.Narrowest, look)
 	}
 }
 
-// TestAdaptiveFallsBackWithoutPromise checks an adaptive engine whose
-// partitions never register an oracle (or promise nothing useful)
-// behaves exactly like the static one: EarliestOutput degrades to the
-// next event time, so no window widens.
+// TestAdaptiveFallsBackWithoutPromise checks an engine whose partitions
+// never register an oracle keeps every window at the latency floor:
+// EarliestOutput degrades to the next event time, so no window widens.
 func TestAdaptiveFallsBackWithoutPromise(t *testing.T) {
-	g := Acquire(2, 2, look, true)
+	g := Acquire(2, 2, look)
 	defer g.Release()
 	p := &ping{g: g, a: 0, b: 1, hops: 5, from: 0}
 	g.NodeEnv(0).AtArg(0, p.hop, nil)
@@ -198,7 +184,7 @@ func TestAdaptiveFallsBackWithoutPromise(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := g.Stats(); st.AdaptiveWindows != 0 {
-		t.Errorf("oracle-less adaptive run widened %d windows", st.AdaptiveWindows)
+		t.Errorf("oracle-less run widened %d windows", st.AdaptiveWindows)
 	}
 	for i, tm := range p.times {
 		if want := float64(i) * look; tm != want {
@@ -207,12 +193,43 @@ func TestAdaptiveFallsBackWithoutPromise(t *testing.T) {
 	}
 }
 
+// TestPostInsideWindowFails breaks the conservative contract on purpose:
+// a partition promises a late earliest output, then posts mail at its
+// own clock, inside the window that promise opened. The destination
+// stops short of the mail's time, so the mail would be delivered without
+// complaint, out of window order; Run must instead fail and name the
+// partition, also when the partitions run on worker goroutines.
+func TestPostInsideWindowFails(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		g := Acquire(2, workers, look)
+		for i := 0; i < 2; i++ {
+			g.NodeEnv(i).SetOutputOracle(&boundOracle{bound: 100 * look})
+		}
+		g.NodeEnv(1).Spawn("short", func(p *sim.Proc) { p.Wait(5 * look) })
+		g.NodeEnv(0).Spawn("liar", func(p *sim.Proc) {
+			p.Wait(10 * look)
+			g.Post(0, 1, p.Now(), func(any) {}, nil)
+		})
+		err := g.Run()
+		if err == nil {
+			t.Fatalf("workers=%d: mail inside the window was accepted", workers)
+		}
+		if !strings.Contains(err.Error(), "partition 0") {
+			t.Errorf("workers=%d: error %q does not name the posting partition", workers, err)
+		}
+		if st := g.Stats(); st.Mail != 0 {
+			t.Errorf("workers=%d: %d mail merged after the broken contract", workers, st.Mail)
+		}
+		g.Release()
+	}
+}
+
 // TestEngineReuse runs the same workload on a pooled engine repeatedly,
 // alternating worker counts, and checks no state leaks between runs.
 func TestEngineReuse(t *testing.T) {
 	var total atomic.Int64
 	run := func(workers int) int64 {
-		g := Acquire(3, workers, look, false)
+		g := Acquire(3, workers, look)
 		defer g.Release()
 		start := total.Load()
 		for i := 0; i < 3; i++ {
