@@ -150,7 +150,7 @@ func main() {
 		if *clock != 0 {
 			fatal(fmt.Errorf("-clock and -clock-sweep are mutually exclusive"))
 		}
-		clocks, err := parseClocks(*clockSweep)
+		clocks, err := parseClocks(*clockSweep, cluster)
 		if err != nil {
 			fatal(err)
 		}
@@ -249,12 +249,16 @@ func parseRanks(s string, domainDefault int) ([]int, error) {
 }
 
 // parseClocks turns the -clock-sweep flag into Hz points: either the
-// literal "ladder" (the cluster's full DVFS ladder, resolved by
-// campaign.FrequencySweep) or a comma-separated list of GHz values.
-func parseClocks(s string) ([]float64, error) {
+// literal "ladder" (the cluster's full DVFS ladder) or a comma-separated
+// list of GHz values.
+func parseClocks(s string, cluster *machine.ClusterSpec) ([]float64, error) {
 	s = strings.TrimSpace(s)
 	if strings.EqualFold(s, "ladder") {
-		return nil, nil // FrequencySweep expands nil to the full ladder
+		ladder := cluster.CPU.DVFS.Ladder()
+		if len(ladder) == 0 {
+			return nil, fmt.Errorf("%s has no DVFS ladder", cluster.Name)
+		}
+		return ladder, nil
 	}
 	var clocks []float64
 	for _, tok := range strings.Split(s, ",") {
@@ -277,7 +281,7 @@ func parseClocks(s string) ([]float64, error) {
 // runClockSweep executes a frequency sweep on the campaign pool and
 // prints one summary row per clock point.
 func runClockSweep(engine *campaign.Engine, base spec.RunSpec, clocks []float64) error {
-	results, err := engine.FrequencySweep(base, clocks)
+	results, err := campaign.Results(engine.Run(base.AtClocks(clocks)))
 	if err != nil {
 		return err
 	}
@@ -302,7 +306,7 @@ func runClockSweep(engine *campaign.Engine, base spec.RunSpec, clocks []float64)
 // runSweep executes a rank sweep on the campaign pool and prints one
 // summary row per point.
 func runSweep(engine *campaign.Engine, base spec.RunSpec, points []int) error {
-	results, err := engine.Sweep(base, points)
+	results, err := campaign.Results(engine.Run(base.AtRanks(points)))
 	if err != nil {
 		return err
 	}

@@ -31,9 +31,9 @@ func main() {
 		// Sweep pot3d (memory-bound) over one ccNUMA domain and build
 		// the paper's Z-plot: energy vs speedup.
 		points := spec.DomainPoints(cluster)
-		results, err := engine.Sweep(spec.RunSpec{
+		results, err := campaign.Results(engine.Run(spec.RunSpec{
 			Benchmark: "pot3d", Class: bench.Tiny, Cluster: cluster,
-		}, points)
+		}.AtRanks(points)))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -38,9 +38,9 @@ func main() {
 	plot := report.NewPlot("Energy vs core clock on one ClusterA domain (tiny)",
 		"clock GHz", "energy J")
 	for _, name := range []string{"pot3d", "sph-exa"} {
-		results, err := engine.FrequencySweep(spec.RunSpec{
+		results, err := campaign.Results(engine.Run(spec.RunSpec{
 			Benchmark: name, Class: bench.Tiny, Cluster: a, Ranks: ranks,
-		}, nil) // nil = the cluster's full ladder
+		}.AtClocks(a.CPU.DVFS.Ladder())))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,9 +28,9 @@ func main() {
 	points := []int{1, 2, 4, 9, 18, 36, 54, 72}
 	plot := report.NewPlot("Node-level speedup on ClusterA (tiny)", "ranks", "speedup")
 	for _, name := range []string{"pot3d", "sph-exa"} {
-		results, err := engine.Sweep(spec.RunSpec{
+		results, err := campaign.Results(engine.Run(spec.RunSpec{
 			Benchmark: name, Class: bench.Tiny, Cluster: a,
-		}, points)
+		}.AtRanks(points)))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,10 +52,10 @@ func main() {
 	// scaling cases using the small suite.
 	fmt.Println("Multi-node scaling cases (small suite, ClusterA):")
 	for _, name := range []string{"pot3d", "cloverleaf", "soma"} {
-		results, err := engine.Sweep(spec.RunSpec{
+		results, err := campaign.Results(engine.Run(spec.RunSpec{
 			Benchmark: name, Class: bench.Small, Cluster: a,
 			Options: bench.Options{SimSteps: 1},
-		}, []int{72, 144, 288, 576})
+		}.AtRanks([]int{72, 144, 288, 576})))
 		if err != nil {
 			log.Fatal(err)
 		}

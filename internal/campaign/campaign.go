@@ -13,11 +13,12 @@
 // for the scheduler's lifetime. Queued jobs whose submitters all cancel
 // are dropped without running; running simulations always complete.
 //
-// The synchronous Engine (Run, Sweep, SweepAll, FrequencySweep) is a
-// thin batch adapter over the scheduler, preserved for CLIs, figures,
-// and tests: it submits a batch, waits for every ticket, and returns
-// outcomes in deterministic input order with per-job errors — one
-// failing job never aborts its siblings.
+// The synchronous Engine (Run, RunCtx) is a thin batch adapter over the
+// scheduler for CLIs, figures, and tests: it submits a batch, waits for
+// every ticket, and returns outcomes in deterministic input order with
+// per-job errors — one failing job never aborts its siblings. A sweep is
+// just a batch: spec.RunSpec's AtRanks and AtClocks build it, and
+// Results unwraps it.
 //
 // Backed by a persistent Store (see NewWithStore), the memo additionally
 // survives the process: results are looked up in — and written through to
@@ -195,96 +196,18 @@ func (e *Engine) RunCtx(ctx context.Context, jobs []spec.RunSpec) []Outcome {
 	return out
 }
 
-// Sweep runs one benchmark over a list of rank counts through the engine
-// and returns results in point order — the parallel, cached counterpart
-// of spec.Sweep. The first job error aborts the sweep's result (the
-// remaining points still complete and stay memoized).
-func (e *Engine) Sweep(base spec.RunSpec, points []int) ([]spec.RunResult, error) {
-	return e.SweepCtx(context.Background(), base, points)
-}
-
-// SweepCtx is Sweep under a cancellable context (see RunCtx).
-func (e *Engine) SweepCtx(ctx context.Context, base spec.RunSpec, points []int) ([]spec.RunResult, error) {
-	jobs := make([]spec.RunSpec, len(points))
-	for i, p := range points {
-		rs := base
-		rs.Ranks = p
-		jobs[i] = rs
-	}
-	outs := e.RunCtx(ctx, jobs)
+// Results unwraps a batch's outcomes into results in input order, the
+// usual last step of a sweep:
+//
+//	results, err := campaign.Results(engine.Run(base.AtRanks(points)))
+//
+// The first failed job aborts the slice, and its error names that job
+// (the remaining jobs still completed and stay memoized).
+func Results(outs []Outcome) ([]spec.RunResult, error) {
 	results := make([]spec.RunResult, len(outs))
 	for i, o := range outs {
 		if o.Err != nil {
-			return nil, o.Err
-		}
-		results[i] = o.Result
-	}
-	return results, nil
-}
-
-// SweepAll runs base over points for every named benchmark, submitting
-// the full cross product as one batch so jobs parallelize across kernels
-// and rank counts alike. Results are keyed by benchmark name.
-func (e *Engine) SweepAll(names []string, base spec.RunSpec, points []int) (map[string][]spec.RunResult, error) {
-	jobs := make([]spec.RunSpec, 0, len(names)*len(points))
-	for _, name := range names {
-		for _, p := range points {
-			rs := base
-			rs.Benchmark = name
-			rs.Ranks = p
-			jobs = append(jobs, rs)
-		}
-	}
-	outs := e.Run(jobs)
-	out := make(map[string][]spec.RunResult, len(names))
-	i := 0
-	for _, name := range names {
-		results := make([]spec.RunResult, len(points))
-		for j := range points {
-			o := outs[i]
-			i++
-			if o.Err != nil {
-				return nil, fmt.Errorf("campaign: sweep %s: %w", jobDesc(o.Job), o.Err)
-			}
-			results[j] = o.Result
-		}
-		out[name] = results
-	}
-	return out, nil
-}
-
-// FrequencySweep fans one (benchmark, cluster, ranks) point across a
-// clock ladder on the worker pool: the frequency-axis counterpart of
-// Sweep. An empty clocks slice selects the cluster's full DVFS ladder.
-// Results come back in ladder order; the first job error aborts the
-// returned slice (remaining points still complete and stay memoized).
-func (e *Engine) FrequencySweep(base spec.RunSpec, clocks []float64) ([]spec.RunResult, error) {
-	return e.FrequencySweepCtx(context.Background(), base, clocks)
-}
-
-// FrequencySweepCtx is FrequencySweep under a cancellable context (see
-// RunCtx).
-func (e *Engine) FrequencySweepCtx(ctx context.Context, base spec.RunSpec, clocks []float64) ([]spec.RunResult, error) {
-	if len(clocks) == 0 {
-		if base.Cluster == nil {
-			return nil, fmt.Errorf("campaign: frequency sweep without cluster")
-		}
-		clocks = base.Cluster.CPU.DVFS.Ladder()
-		if len(clocks) == 0 {
-			return nil, fmt.Errorf("campaign: %s has no DVFS ladder", base.Cluster.Name)
-		}
-	}
-	jobs := make([]spec.RunSpec, len(clocks))
-	for i, hz := range clocks {
-		rs := base
-		rs.ClockHz = hz
-		jobs[i] = rs
-	}
-	outs := e.RunCtx(ctx, jobs)
-	results := make([]spec.RunResult, len(outs))
-	for i, o := range outs {
-		if o.Err != nil {
-			return nil, o.Err
+			return nil, fmt.Errorf("campaign: %s: %w", jobDesc(o.Job), o.Err)
 		}
 		results[i] = o.Result
 	}

@@ -54,7 +54,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := New(4).Sweep(base, points)
+	parallel, err := Results(New(4).Run(base.AtRanks(points)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,24 +201,22 @@ func TestKeyDistinguishesClockPoints(t *testing.T) {
 	}
 }
 
-// TestFrequencySweep fans one job across a clock list, checks ladder
-// order and per-point memoization, and that nil clocks expand to the
-// cluster's full DVFS ladder.
+// TestFrequencySweep fans one job across a clock list as one batch and
+// checks ladder order and per-point memoization.
 func TestFrequencySweep(t *testing.T) {
 	e := New(4)
-	base := counterJob(2)
-	clocks := []float64{0.8e9, 1.6e9, 2.4e9}
+	jobs := counterJob(2).AtClocks([]float64{0.8e9, 1.6e9, 2.4e9})
 
-	results, err := e.FrequencySweep(base, clocks)
+	results, err := Results(e.Run(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != len(clocks) {
-		t.Fatalf("got %d results, want %d", len(results), len(clocks))
+	if len(results) != len(jobs) {
+		t.Fatalf("got %d results, want %d", len(results), len(jobs))
 	}
 	for i, r := range results {
-		if r.Spec.ClockHz != clocks[i] {
-			t.Errorf("point %d ran at %g Hz, want %g", i, r.Spec.ClockHz, clocks[i])
+		if r.Spec.ClockHz != jobs[i].ClockHz {
+			t.Errorf("point %d ran at %g Hz, want %g", i, r.Spec.ClockHz, jobs[i].ClockHz)
 		}
 	}
 	// Slower clocks may not beat the base wall time for this tiny kernel,
@@ -228,52 +226,38 @@ func TestFrequencySweep(t *testing.T) {
 		t.Errorf("%d fresh simulations, want 3 (one per clock)", st.Misses)
 	}
 	// Resubmitting is all cache hits.
-	if _, err := e.FrequencySweep(base, clocks); err != nil {
+	if _, err := Results(e.Run(jobs)); err != nil {
 		t.Fatal(err)
 	}
 	if e.Stats().Misses != st.Misses {
 		t.Error("repeated frequency sweep re-simulated instead of hitting the cache")
 	}
-
-	// nil clocks = the full ladder of the job's cluster.
-	ladder := base.Cluster.CPU.DVFS.Ladder()
-	full, err := e.FrequencySweep(base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) != len(ladder) {
-		t.Fatalf("full sweep has %d points, want ladder length %d", len(full), len(ladder))
-	}
-	for i, r := range full {
-		if r.Spec.ClockHz != ladder[i] {
-			t.Errorf("full sweep point %d at %g Hz, want %g", i, r.Spec.ClockHz, ladder[i])
-		}
-	}
 }
 
-// TestSweepAllCoversCrossProduct checks the batched multi-kernel sweep
-// returns every (kernel, point) result in order.
+// TestSweepAllCoversCrossProduct checks a multi-kernel sweep submitted
+// as one kernel × point batch returns every result in input order.
 func TestSweepAllCoversCrossProduct(t *testing.T) {
 	e := New(4)
 	names := []string{"campaign-counter", "tealeaf"}
 	points := []int{1, 2}
-	out, err := e.SweepAll(names, spec.RunSpec{
-		Class:   bench.Tiny,
-		Cluster: machine.MustGet("ClusterA"),
-		Options: bench.Options{SimSteps: 1},
-	}, points)
+	var jobs []spec.RunSpec
+	for _, name := range names {
+		jobs = append(jobs, spec.RunSpec{
+			Benchmark: name,
+			Class:     bench.Tiny,
+			Cluster:   machine.MustGet("ClusterA"),
+			Options:   bench.Options{SimSteps: 1},
+		}.AtRanks(points)...)
+	}
+	results, err := Results(e.Run(jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range names {
-		res, ok := out[name]
-		if !ok || len(res) != len(points) {
-			t.Fatalf("missing or short sweep for %s: %v", name, res)
-		}
-		for i, p := range points {
-			if res[i].Usage.Ranks != p {
-				t.Errorf("%s point %d has %d ranks, want %d", name, i, res[i].Usage.Ranks, p)
-			}
+	for i, r := range results {
+		name, p := names[i/len(points)], points[i%len(points)]
+		if r.Spec.Benchmark != name || r.Usage.Ranks != p {
+			t.Errorf("result %d is %s at %d ranks, want %s at %d",
+				i, r.Spec.Benchmark, r.Usage.Ranks, name, p)
 		}
 	}
 }

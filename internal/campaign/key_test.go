@@ -245,3 +245,32 @@ func TestJobDescReportsOverrides(t *testing.T) {
 		t.Errorf("jobDesc without cluster = %q", got)
 	}
 }
+
+// TestResultsNamesFailingJob checks Results reports a failed batch by
+// the failing job's own identity: in a valid, invalid-clock, valid
+// batch, the error carries the invalid job's clock and rank count, not
+// a sibling's.
+func TestResultsNamesFailingJob(t *testing.T) {
+	dvfs := counterJob(1).Cluster.CPU.DVFS
+	jobs := []spec.RunSpec{counterJob(1), counterJob(3), counterJob(2)}
+	jobs[0].ClockHz = dvfs.MinHz
+	jobs[1].ClockHz = dvfs.MinHz / 2 // below the ladder: spec.Run rejects it
+	jobs[2].ClockHz = dvfs.MaxHz
+	results, err := Results(New(2).Run(jobs))
+	if err == nil {
+		t.Fatalf("batch with an out-of-range clock succeeded: %d results", len(results))
+	}
+	msg := err.Error()
+	for _, want := range []string{fmt.Sprintf("at %g GHz", jobs[1].ClockHz/1e9), "with 3 ranks"} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("error %q does not name the failing job (%q)", msg, want)
+		}
+	}
+	for _, sib := range []spec.RunSpec{jobs[0], jobs[2]} {
+		for _, bad := range []string{fmt.Sprintf("at %g GHz", sib.ClockHz/1e9), fmt.Sprintf("with %d ranks", sib.Ranks)} {
+			if strings.Contains(msg, bad) {
+				t.Errorf("error %q names a sibling job (%q)", msg, bad)
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/spechpc/spechpc-sim/internal/analysis"
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
+	"github.com/spechpc/spechpc-sim/internal/campaign"
 	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/report"
 	"github.com/spechpc/spechpc-sim/internal/scenario"
@@ -88,13 +89,13 @@ func renderFigEnergyClock(ctx *Context) error {
 			if k.name == "" {
 				continue
 			}
-			results, err := ctx.engine().FrequencySweep(spec.RunSpec{
+			results, err := campaign.Results(ctx.engine().Run(spec.RunSpec{
 				Benchmark: k.name,
 				Class:     bench.Tiny,
 				Cluster:   cs,
 				Ranks:     ranks,
 				Options:   bench.Options{SimSteps: ctx.steps()},
-			}, ladder)
+			}.AtClocks(ladder)))
 			if err != nil {
 				return fmt.Errorf("frequency sweep %s on %s: %w", k.name, cs.Name, err)
 			}

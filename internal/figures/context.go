@@ -193,23 +193,37 @@ func (ctx *Context) steps() int {
 
 // sweep runs one benchmark sweep through the campaign engine.
 func (ctx *Context) sweep(cs *machine.ClusterSpec, benchName string, class bench.Class, points []int) ([]spec.RunResult, error) {
-	return ctx.engine().Sweep(spec.RunSpec{
+	return campaign.Results(ctx.engine().Run(spec.RunSpec{
 		Benchmark: benchName,
 		Class:     class,
 		Cluster:   cs,
 		Options:   bench.Options{SimSteps: ctx.steps()},
-	}, points)
+	}.AtRanks(points)))
 }
 
 // sweepAll runs one class sweep for every registered benchmark as a
 // single campaign batch, so jobs parallelize across kernels and rank
-// counts alike.
+// counts alike. Results are keyed by benchmark name.
 func (ctx *Context) sweepAll(cs *machine.ClusterSpec, class bench.Class, points []int) (map[string][]spec.RunResult, error) {
-	return ctx.engine().SweepAll(bench.Names(), spec.RunSpec{
-		Class:   class,
-		Cluster: cs,
-		Options: bench.Options{SimSteps: ctx.steps()},
-	}, points)
+	names := bench.Names()
+	var jobs []spec.RunSpec
+	for _, name := range names {
+		jobs = append(jobs, spec.RunSpec{
+			Benchmark: name,
+			Class:     class,
+			Cluster:   cs,
+			Options:   bench.Options{SimSteps: ctx.steps()},
+		}.AtRanks(points)...)
+	}
+	results, err := campaign.Results(ctx.engine().Run(jobs))
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string][]spec.RunResult, len(names))
+	for i, name := range names {
+		out[name] = results[i*len(points) : (i+1)*len(points)]
+	}
+	return out, nil
 }
 
 // run executes single jobs through the engine (memoized like sweeps).

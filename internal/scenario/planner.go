@@ -324,13 +324,12 @@ func (p *Planner) renderSweep(ctx context.Context, sc *Scenario, si int, w io.Wr
 			if sw.Net != nil {
 				base.Net = *sw.Net
 			}
-			var res []spec.RunResult
+			jobs := base.AtRanks(points)
 			if len(clocks) > 0 {
 				base.Ranks = points[0]
-				res, err = p.engineFor(sc).FrequencySweepCtx(ctx, base, clocks)
-			} else {
-				res, err = p.engineFor(sc).SweepCtx(ctx, base, points)
+				jobs = base.AtClocks(clocks)
 			}
+			res, err := campaign.Results(p.engineFor(sc).RunCtx(ctx, jobs))
 			if err != nil {
 				return fmt.Errorf("scenario %s: sweep %d: %s on %s: %w",
 					sc.Name, si+1, name, cs.Name, err)

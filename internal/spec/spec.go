@@ -191,15 +191,35 @@ func MultiNodePoints(cs *machine.ClusterSpec) []int {
 	return points
 }
 
+// AtRanks returns one copy of rs per rank count, in point order: the
+// rank axis of a scaling sweep.
+func (rs RunSpec) AtRanks(points []int) []RunSpec {
+	jobs := make([]RunSpec, len(points))
+	for i, p := range points {
+		jobs[i] = rs
+		jobs[i].Ranks = p
+	}
+	return jobs
+}
+
+// AtClocks returns one copy of rs per core clock in Hz, in order: the
+// clock axis of a frequency sweep.
+func (rs RunSpec) AtClocks(hz []float64) []RunSpec {
+	jobs := make([]RunSpec, len(hz))
+	for i, f := range hz {
+		jobs[i] = rs
+		jobs[i].ClockHz = f
+	}
+	return jobs
+}
+
 // Sweep runs one benchmark over a list of rank counts serially and
 // returns results in order. Options apply to every point. It is the
 // uncached serial reference; sweeps that should parallelize across host
 // cores and memoize repeated jobs go through internal/campaign instead.
 func Sweep(base RunSpec, points []int) ([]RunResult, error) {
 	out := make([]RunResult, 0, len(points))
-	for _, p := range points {
-		rs := base
-		rs.Ranks = p
+	for _, rs := range base.AtRanks(points) {
 		r, err := Run(rs)
 		if err != nil {
 			return nil, err
