@@ -197,12 +197,9 @@ func (e *Engine) RunCtx(ctx context.Context, jobs []spec.RunSpec) []Outcome {
 }
 
 // Results unwraps a batch's outcomes into results in input order, the
-// usual last step of a sweep:
-//
-//	results, err := campaign.Results(engine.Run(base.AtRanks(points)))
-//
-// The first failed job aborts the slice, and its error names that job
-// (the remaining jobs still completed and stay memoized).
+// last step of a sweep: Results(engine.Run(base.AtRanks(points))). The
+// first failed job aborts the slice, and its error names that job (the
+// remaining jobs still completed and stay memoized).
 func Results(outs []Outcome) ([]spec.RunResult, error) {
 	results := make([]spec.RunResult, len(outs))
 	for i, o := range outs {

@@ -9,7 +9,8 @@ import (
 // The MPI microbenchmarks pin the simulated protocol stack end to end —
 // envelope matching, eager/rendezvous state machines, collective
 // algorithms — on top of the scheduler. scripts/bench_compare.sh gates
-// them against BENCH_baseline.json in CI.
+// them in CI against the parent commit, or against the recorded
+// bench/baseline.bench.
 
 // benchJob runs one job per iteration on ClusterA without a trace
 // recorder, the configuration campaign sweeps use.

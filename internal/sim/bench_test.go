@@ -5,7 +5,8 @@ import "testing"
 // The scheduler microbenchmarks pin the engine's hot paths in isolation:
 // heap events, now-queue wakes, timed process waits, processor-sharing
 // retime churn, and pooled whole-run turnaround. scripts/bench_compare.sh
-// gates these against BENCH_baseline.json in CI.
+// gates these in CI against the parent commit, or against the recorded
+// bench/baseline.bench.
 
 // BenchmarkScheduleFire measures pure event throughput through the heap:
 // schedule a future callback, fire it, recycle the slot.
