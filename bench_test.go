@@ -14,6 +14,7 @@ package spechpcsim_test
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
 	"github.com/spechpc/spechpc-sim/internal/analysis"
@@ -67,13 +68,18 @@ func BenchmarkFig5MultiNode(b *testing.B)   { runExperiment(b, figures.Fig5) }
 // algorithmic win visible even single-threaded) and true parallelism
 // across host cores (needs GOMAXPROCS > 1).
 func BenchmarkFig5MultiNodeJob(b *testing.B) {
+	runMultiNodeJob(b, fig5Job())
+}
+
+// fig5Job is the Fig.5-class job: lbm/small across all sixteen ClusterA
+// nodes.
+func fig5Job() spec.RunSpec {
 	cs := machine.MustGet("ClusterA")
-	rs := spec.RunSpec{
+	return spec.RunSpec{
 		Benchmark: "lbm", Class: bench.Small,
 		Cluster: cs, Ranks: cs.MaxNodes * cs.CPU.CoresPerNode(),
 		Options: bench.Options{SimSteps: 1},
 	}
-	runMultiNodeJob(b, rs)
 }
 
 // BenchmarkPot3dMultiNodeJob is the compute-bound end of the kernel
@@ -88,6 +94,73 @@ func BenchmarkPot3dMultiNodeJob(b *testing.B) {
 		Options: bench.Options{SimSteps: 1},
 	}
 	runMultiNodeJob(b, rs)
+}
+
+// BenchmarkMinisweepMultiNodeJob is the wavefront end of the spectrum:
+// minisweep's rendezvous chain runs ~61k latency-floor windows of a few
+// process switches each on four ClusterA nodes, so the partitioned
+// engine runs nearly all of them inline on the coordinator
+// (TestWavefrontWindowsRunInline). The worker scaling table reports it
+// for information; no speedup gate applies.
+func BenchmarkMinisweepMultiNodeJob(b *testing.B) {
+	runMultiNodeJob(b, minisweepJob())
+}
+
+// minisweepJob is minisweep/small on four whole ClusterA nodes, a
+// multi-node job of the multinode-cold workload.
+func minisweepJob() spec.RunSpec {
+	cs := machine.MustGet("ClusterA")
+	return spec.RunSpec{
+		Benchmark: "minisweep", Class: bench.Small,
+		Cluster: cs, Ranks: 4 * cs.CPU.CoresPerNode(),
+		Options: bench.Options{SimSteps: 1},
+	}
+}
+
+// TestWavefrontWindowsRunInline pins the dispatch rule on the wavefront
+// job with deterministic counters: at two workers nearly every one of
+// its narrow windows must run inline on the coordinator, and the result
+// must equal the serial engine's.
+func TestWavefrontWindowsRunInline(t *testing.T) {
+	const maxDispatched = 8
+	rs := minisweepJob()
+	serial, err := spec.Run(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.SimWorkers = 2
+	res, err := spec.Run(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Psim.Windows == 0 {
+		t.Fatal("job did not run on the partitioned engine")
+	}
+	if res.Psim.Dispatched > maxDispatched {
+		t.Errorf("%d of %d windows dispatched to workers, ceiling %d",
+			res.Psim.Dispatched, res.Psim.Windows, maxDispatched)
+	}
+	if !reflect.DeepEqual(res.Usage, serial.Usage) {
+		t.Errorf("partitioned usage %+v, serial usage %+v", res.Usage, serial.Usage)
+	}
+}
+
+// TestFig5JobDispatchFloor is the other side of the dispatch rule: the
+// Fig. 5 lbm job does its work in wide windows, and a rule that ran
+// them all inline would silently serialize it. It must keep handing at
+// least a floor of windows to the workers.
+func TestFig5JobDispatchFloor(t *testing.T) {
+	const minDispatched = 50
+	rs := fig5Job()
+	rs.SimWorkers = 2
+	res, err := spec.Run(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Psim.Dispatched < minDispatched {
+		t.Errorf("%d of %d windows dispatched to workers, floor %d",
+			res.Psim.Dispatched, res.Psim.Windows, minDispatched)
+	}
 }
 
 // computeHeavyJob is the regime the earliest-output window targets: an

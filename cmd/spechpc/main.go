@@ -356,8 +356,8 @@ func reportStats(engine *campaign.Engine, cacheDir string, verbose bool) {
 		return
 	}
 	fmt.Fprintf(os.Stderr,
-		"psim: %d runs, %d windows (%d widened), %d mail merged, %d idle partition-windows, window span %.3gs..%.3gs\n",
-		pt.Runs, pt.Windows, pt.AdaptiveWindows,
+		"psim: %d runs, %d windows (%d widened), %d dispatched_windows, %d mail merged, %d idle partition-windows, window span %.3gs..%.3gs\n",
+		pt.Runs, pt.Windows, pt.AdaptiveWindows, pt.Dispatched,
 		pt.Mail, pt.IdleParts, pt.Narrowest, pt.Widest)
 }
 

@@ -108,34 +108,37 @@ type Job struct {
 	leaders  []int
 	cpn      int
 
-	// Adaptive-lookahead oracle state (attachOracle). pending counts
-	// live point-to-point protocol activity per node, from both sides:
-	// an Isend increments the source AND destination node, and each
-	// side's count drops when its last possible protocol event has
-	// provably fired — eager sources at data arrival (the wire
-	// injection strictly precedes it), eager destinations once header
-	// and data have both landed, rendezvous both sides during the
-	// quiescent gap between header arrival and match (re-armed with the
-	// CTS) and finally at the transfer completion and delivery ack.
-	// While a node's count is nonzero, protocol events not owned by any
-	// rank's park state may still produce cross-node output, so its
-	// oracle makes no promise. The counters are atomics because a
-	// remote partition's events adjust this node's count mid-window;
-	// they are read only at window barriers, after the engine's
-	// wg.Wait.
+	// Adaptive-lookahead oracle state (attachOracle), one nodeCounts
+	// per node. pending counts live point-to-point protocol activity
+	// per node, from both sides: an Isend increments the source AND
+	// destination node, and each side's count drops when its last
+	// possible protocol event has provably fired — eager sources at
+	// data arrival (the wire injection strictly precedes it), eager
+	// destinations once header and data have both landed, rendezvous
+	// both sides during the quiescent gap between header arrival and
+	// match (re-armed with the CTS) and finally at the transfer
+	// completion and delivery ack. While a node's count is nonzero,
+	// protocol events not owned by any rank's park state may still
+	// produce cross-node output, so its oracle makes no promise. The
+	// pending counters are atomics because a remote partition's events
+	// adjust this node's count mid-window; active (the node's ranks in
+	// oActive, see Rank.setOState) is written only by the node's own
+	// partition. Both are read only at window barriers, after the
+	// engine's wg.Wait.
 	oracleOn bool
-	pending  []pendingCount
+	counts   []nodeCounts
 	oracles  []nodeOracle
 }
 
-// pendingCount pads each node's envelope counter to its own cache
-// line: the counters are the one piece of state partition executors
-// update from several OS threads at once (an Isend bumps both
-// endpoints' nodes), and unpadded they pack 8 to a line — hot protocol
-// paths of unrelated nodes would false-share every increment.
-type pendingCount struct {
-	n atomic.Int64
-	_ [56]byte
+// nodeCounts pads each node's oracle counters to their own cache line:
+// partition executors on several OS threads update them at once (an
+// Isend bumps both endpoints' nodes, and every park or wake moves the
+// active count), and unpadded they pack several to a line — hot paths
+// of unrelated nodes would false-share every update.
+type nodeCounts struct {
+	pending atomic.Int64
+	active  int64
+	_       [48]byte
 }
 
 // nodeOracle is one node's sim.OutputOracle: a conservative promise
@@ -147,21 +150,24 @@ type nodeOracle struct {
 }
 
 // EarliestOutputTime returns a lower bound on the node's next
-// cross-node send. No promise (-Inf, collapsing to the static window)
-// whenever any protocol envelope touching the node is unsettled or any
-// rank is mid-MPI-call; otherwise the earliest compute-phase end floor
-// over computing ranks. Blocked ranks contribute no bound of their own:
-// every path that could wake one is covered elsewhere — incoming or
-// in-flight protocol events by the pending counter, local compute
-// completions by their floor, and anything already queued by the
-// environment's next-event bound (sim.Env.EarliestOutput takes the max
-// with it). Nodes where every rank is blocked or done promise +Inf,
-// which the environment honors only when its event queue is empty, so
-// a deadlocked partition never gates other partitions' windows and is
-// still reported by the normal drain-and-check path.
+// cross-node send. No promise (-Inf, collapsing to the latency-floor
+// window) whenever any protocol envelope touching the node is unsettled
+// or any rank is mid-MPI-call — both read from counters in O(1), the
+// common case on a wavefront's narrow windows; otherwise the earliest
+// compute-phase end floor over computing ranks. Blocked ranks
+// contribute no bound of their own: every path that could wake one is
+// covered elsewhere — incoming or in-flight protocol events by the
+// pending counter, local compute completions by their floor, and
+// anything already queued by the environment's next-event bound
+// (sim.Env.EarliestOutput takes the max with it). Nodes where every
+// rank is blocked or done promise +Inf, which the environment honors
+// only when its event queue is empty, so a deadlocked partition never
+// gates other partitions' windows and is still reported by the normal
+// drain-and-check path.
 func (o *nodeOracle) EarliestOutputTime() float64 {
 	j := o.j
-	if j.pending[o.node].n.Load() != 0 {
+	// An oActive rank is mid-call: its next action rides a queued event.
+	if c := &j.counts[o.node]; c.pending.Load() != 0 || c.active != 0 {
 		return math.Inf(-1)
 	}
 	bound := math.Inf(1)
@@ -170,16 +176,13 @@ func (o *nodeOracle) EarliestOutputTime() float64 {
 	if hi > len(j.ranks) {
 		hi = len(j.ranks)
 	}
+	// Every rank is computing or blocked; a blocked rank, parked in a
+	// wait, cannot send until woken.
 	for _, r := range j.ranks[lo:hi] {
-		switch r.oState {
-		case oComputing:
+		if r.oState == oComputing {
 			if f := j.sys.PhaseEndFloor(r.id); f < bound {
 				bound = f
 			}
-		case oBlocked:
-			// Parked in a wait; cannot send until woken.
-		default: // oActive: mid-call, next action rides a queued event.
-			return math.Inf(-1)
 		}
 	}
 	return bound
@@ -189,19 +192,24 @@ func (o *nodeOracle) EarliestOutputTime() float64 {
 // No-op on the serial engine.
 func (j *Job) notePending(rank int, d int64) {
 	if j.oracleOn {
-		j.pending[j.ranks[rank].place.Node].n.Add(d)
+		j.counts[j.ranks[rank].place.Node].pending.Add(d)
 	}
 }
 
 // attachOracle wires the per-node earliest-output oracle into the
-// partition environments and arms the pending counters. Called after
-// init (the environments exist) and before the engine runs.
+// partition environments and arms the per-node counters. Called after
+// init (every rank is oActive, the environments exist) and before the
+// engine runs.
 func (j *Job) attachOracle(eng *psim.Engine, nodes int) {
-	if len(j.pending) < nodes {
-		j.pending = make([]pendingCount, nodes)
+	if len(j.counts) < nodes {
+		j.counts = make([]nodeCounts, nodes)
 	}
-	for i := range j.pending {
-		j.pending[i].n.Store(0)
+	for i := range j.counts {
+		j.counts[i].pending.Store(0)
+		j.counts[i].active = 0
+	}
+	for node := 0; node < nodes; node++ {
+		j.counts[node].active = int64(j.parts[node].ranks)
 	}
 	if len(j.oracles) < nodes {
 		j.oracles = make([]nodeOracle, nodes)
@@ -379,7 +387,7 @@ type Rank struct {
 	// oState is the rank's park state as seen by the adaptive-lookahead
 	// oracle. Written only by the rank's own partition; read by the
 	// engine coordinator at window barriers (ordered by the barrier's
-	// wg.Wait / channel handoff).
+	// wg.Wait / channel handoff). Change it with setOState.
 	oState uint8
 }
 
@@ -390,6 +398,21 @@ const (
 	oComputing              // inside Rank.Compute: promise PhaseEndFloor
 	oBlocked                // parked in a wait, or finished: silent until woken
 )
+
+// setOState moves the rank to oracle park state s, keeping its node's
+// count of oActive ranks current on the partitioned engine.
+func (r *Rank) setOState(s uint8) {
+	if j := r.job; j.oracleOn {
+		c := &j.counts[r.place.Node].active
+		if r.oState == oActive {
+			*c--
+		}
+		if s == oActive {
+			*c++
+		}
+	}
+	r.oState = s
+}
 
 // boundsScratch returns the rank's reusable [n][2]int table for the
 // reduce-scatter/allgather segment arithmetic.
@@ -536,7 +559,7 @@ func (j *Job) init(rt sim.Router, cfg Config, body func(r *Rank)) {
 			r.body(r)
 			// A finished rank never sends again: permanently silent to
 			// the oracle.
-			r.oState = oBlocked
+			r.setOState(oBlocked)
 			r.job.sys.RankFinished(r.id, p.Now())
 		}
 		j.rankStore = append(j.rankStore, r)
@@ -611,9 +634,9 @@ func (r *Rank) Cluster() *machine.ClusterSpec { return r.job.sys.Spec() }
 // phase's end floor (machine.System.PhaseEndFloor).
 func (r *Rank) Compute(ph machine.Phase) {
 	t0 := r.proc.Now()
-	r.oState = oComputing
+	r.setOState(oComputing)
 	r.job.sys.Compute(r.proc, r.id, ph)
-	r.oState = oActive
+	r.setOState(oActive)
 	r.job.rec.Record(r.id, trace.KindCompute, t0, r.proc.Now(), -1)
 }
 

@@ -62,16 +62,20 @@ func TestAdaptiveWindowCollapse(t *testing.T) {
 	}
 }
 
-// TestOracleBalance checks the envelope accounting invariant: after any
+// TestOracleBalance checks the oracle accounting invariants: after any
 // clean adaptive run, every node's pending counter is back to zero —
-// each Isend's two increments found their matching settle points.
+// each Isend's two increments found their matching settle points — and
+// so is its active-rank count, since every rank finished.
 func TestOracleBalance(t *testing.T) {
 	checked := false
 	testOracleCheck = func(j *Job) {
 		checked = true
-		for node := range j.pending {
-			if n := j.pending[node].n.Load(); n != 0 {
+		for node := range j.counts {
+			if n := j.counts[node].pending.Load(); n != 0 {
 				t.Errorf("node %d ends with %d unsettled envelopes", node, n)
+			}
+			if n := j.counts[node].active; n != 0 {
+				t.Errorf("node %d ends with %d active ranks", node, n)
 			}
 		}
 	}

@@ -73,9 +73,9 @@ func (r *Rank) Waitany(reqs []*Request) int {
 				return i
 			}
 		}
-		r.oState = oBlocked
+		r.setOState(oBlocked)
 		r.proc.Park("mpi waitany")
-		r.oState = oActive
+		r.setOState(oActive)
 	}
 }
 
@@ -210,7 +210,7 @@ func (r *Rank) Isend(dst, tag int, data []float64, modelBytes float64) *Request 
 	env.sendReq = req
 	env.eager = j.net.Eager(modelBytes)
 	// The envelope is now in flight on both sides: until each side's
-	// protocol events settle (see Job.pending), neither node's oracle
+	// protocol events settle (see Job.counts), neither node's oracle
 	// may promise a send bound — wire legs, CTS, and acks can all
 	// produce cross-node output at their own event times.
 	j.notePending(r.id, 1)
@@ -276,9 +276,9 @@ func (r *Rank) waitAs(q *Request, kind trace.Kind) *Message {
 		// constant, so parking allocates nothing. While parked the rank
 		// is silent to the adaptive-lookahead oracle: it cannot send
 		// until something else wakes it.
-		r.oState = oBlocked
+		r.setOState(oBlocked)
 		r.proc.Park(kind.String())
-		r.oState = oActive
+		r.setOState(oActive)
 	}
 	r.mpiInterval(kind, t0, q.peer)
 	return q.msg

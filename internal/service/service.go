@@ -281,7 +281,8 @@ type statszResponse struct {
 	Fleet *statszFleet `json:"fleet,omitempty"`
 	// Psim is the process-wide partitioned-engine window accounting:
 	// how many runs used the parallel engine, how many windows they
-	// executed, and how many of those the earliest-output oracle widened.
+	// executed, how many of those the earliest-output oracle widened,
+	// and how many were handed to worker goroutines.
 	Psim statszPsim `json:"psim"`
 }
 
@@ -293,6 +294,7 @@ type statszPsim struct {
 	AdaptiveWindows int64   `json:"adaptive_windows"`
 	Mail            int64   `json:"mail_merged"`
 	IdleParts       int64   `json:"idle_partition_windows"`
+	Dispatched      int64   `json:"dispatched_windows"`
 	WidestWindow    float64 `json:"widest_window_s"`
 	NarrowestWindow float64 `json:"narrowest_window_s"`
 }
@@ -391,6 +393,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		AdaptiveWindows: pt.AdaptiveWindows,
 		Mail:            pt.Mail,
 		IdleParts:       pt.IdleParts,
+		Dispatched:      pt.Dispatched,
 		WidestWindow:    pt.Widest,
 		NarrowestWindow: pt.Narrowest,
 	}

@@ -179,6 +179,9 @@ func TestStatszPsimWindows(t *testing.T) {
 	if after.Psim.Windows <= before.Psim.Windows {
 		t.Errorf("no windows accounted: %+v", after.Psim)
 	}
+	if after.Psim.Dispatched <= before.Psim.Dispatched {
+		t.Errorf("no window dispatched to workers: %+v", after.Psim)
+	}
 	if after.Psim.NarrowestWindow <= 0 {
 		t.Errorf("narrowest window %g not positive", after.Psim.NarrowestWindow)
 	}

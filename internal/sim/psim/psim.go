@@ -32,6 +32,16 @@
 // under any window schedule — the canonical merge order, and therefore
 // the output bytes, are unchanged. A compute-heavy job that would take
 // ~10^5 latency-floor windows collapses to a few hundred barriers.
+//
+// Each window's active partitions run either on worker goroutines or
+// inline on the coordinator, one after another. Only windows likely to
+// hold enough work pay the worker hand-off: a window runs inline when
+// the previous one ran fewer than dispatchMinSwitches process switches.
+// A rendezvous wavefront (minisweep) resolves down a chain in tens of
+// thousands of such narrow windows, where the hand-off would cost more
+// than the work. The choice is execution strategy only: partitions
+// share no mutable state within a window, so running them in any order
+// on any goroutine yields the same events, mail, and output bytes.
 package psim
 
 import (
@@ -55,11 +65,12 @@ type mail struct {
 
 // partition is one per-node logical partition: its environment plus the
 // outboxes it fills during a window (indexed by destination partition).
-// Only the owning partition appends to its outboxes, so window
-// execution shares no mutable state between partitions.
+// Only the owning partition appends to its outboxes and sets mailed, so
+// window execution shares no mutable state between partitions.
 type partition struct {
-	env *sim.Env
-	out [][]mail
+	env    *sim.Env
+	out    [][]mail
+	mailed bool // posted cross-partition mail since the last barrier
 }
 
 // Engine coordinates the window loop. It implements sim.Router: node i
@@ -72,13 +83,20 @@ type Engine struct {
 	lookahead float64
 	workers   int
 
-	window float64 // current window end, set before dispatch
-	inbox  []mail  // per-destination merge scratch
-	work   chan *partition
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	err    error
-	stat   Stats
+	window  float64      // current window end, set before dispatch
+	inbox   []mail       // per-destination merge scratch
+	senders []*partition // partitions with mail at the barrier, scratch
+	work    chan *partition
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	err     error
+	stat    Stats
+
+	// switches is the partitions' summed process-switch count at the
+	// end of the last window; narrow records that the last window ran
+	// fewer than dispatchMinSwitches of them, so the next runs inline.
+	switches int64
+	narrow   bool
 }
 
 // Stats counts one run's window behavior; read it with Engine.Stats
@@ -97,6 +115,9 @@ type Stats struct {
 	// IdleParts counts partition×window pairs where a partition had no
 	// event before the window end (it sat out the barrier).
 	IdleParts int64
+	// Dispatched counts windows whose partitions were handed to worker
+	// goroutines; every other window ran inline on the coordinator.
+	Dispatched int64
 	// Widest and Narrowest are the extreme window spans (window end
 	// minus global minimum event time) in virtual seconds. Narrowest is
 	// never below the lookahead: windows only ever widen.
@@ -110,6 +131,7 @@ func (s *Stats) merge(o Stats) {
 	s.AdaptiveWindows += o.AdaptiveWindows
 	s.Mail += o.Mail
 	s.IdleParts += o.IdleParts
+	s.Dispatched += o.Dispatched
 	if o.Widest > s.Widest {
 		s.Widest = o.Widest
 	}
@@ -212,6 +234,7 @@ func (g *Engine) Release() {
 	for _, p := range g.parts {
 		sim.ReleaseEnv(p.env)
 		p.env = nil
+		p.mailed = false
 		for d := range p.out {
 			// Drop any undelivered mail references (failed runs) so the
 			// pooled buffers do not pin callback arguments.
@@ -221,6 +244,8 @@ func (g *Engine) Release() {
 	}
 	clear(g.inbox[:cap(g.inbox)])
 	g.inbox = g.inbox[:0]
+	clear(g.senders[:cap(g.senders)])
+	g.senders = g.senders[:0]
 	g.parts = nil
 	enginePool.Put(g)
 }
@@ -248,6 +273,7 @@ func (g *Engine) Post(src, dst int, t float64, fn func(any), arg any) {
 	}
 	p := g.parts[src]
 	p.out[dst] = append(p.out[dst], mail{t: t, src: int32(src), fn: fn, arg: arg})
+	p.mailed = true
 }
 
 // Run executes the window loop to completion: deliver pending mail,
@@ -274,6 +300,9 @@ func (g *Engine) Run() error {
 			g.work = nil
 		}()
 	}
+	// The first window always dispatches: nothing has measured the
+	// job's window size yet.
+	g.switches, g.narrow = g.totalSwitches(), false
 	for {
 		g.deliver()
 		t, ok := g.minNextEvent()
@@ -288,7 +317,7 @@ func (g *Engine) Run() error {
 		// minEarliestOutput is finite here (the partition owning t
 		// reports at most a finite bound while events are queued) and
 		// never below t; the IsInf check is pure defense.
-		if eo := g.minEarliestOutput(); eo > t && !math.IsInf(eo, 1) {
+		if eo := g.minEarliestOutput(t); eo > t && !math.IsInf(eo, 1) {
 			w = eo + g.lookahead
 			span = w - t
 			g.stat.AdaptiveWindows++
@@ -310,12 +339,16 @@ func (g *Engine) Run() error {
 // minEarliestOutput returns the earliest time any partition may next
 // produce cross-partition output: the min over partitions of their
 // EarliestOutput bound. Partitions with no queued events are inert
-// until mail reaches them (+Inf) and do not gate the window.
-func (g *Engine) minEarliestOutput() float64 {
+// until mail reaches them (+Inf) and do not gate the window. It stops
+// at the first bound at or below the window floor t: the window cannot
+// widen then, so the remaining partitions' oracles need not be asked.
+func (g *Engine) minEarliestOutput(t float64) float64 {
 	m := math.Inf(1)
 	for _, p := range g.parts {
 		if eo := p.env.EarliestOutput(); eo < m {
-			m = eo
+			if m = eo; m <= t {
+				break
+			}
 		}
 	}
 	return m
@@ -336,11 +369,23 @@ func (g *Engine) noteWindow(span float64) {
 // (time, source partition, submission order). The order is canonical —
 // it depends only on the simulation, not on which worker ran what when —
 // so the destination's private seq counter assigns identical tiebreaks
-// on every run at every worker count.
+// on every run at every worker count. Only partitions that posted mail
+// are scanned, so a narrow window with one sender costs O(partitions).
 func (g *Engine) deliver() {
+	senders := g.senders[:0]
+	for _, ps := range g.parts {
+		if ps.mailed {
+			senders = append(senders, ps)
+			ps.mailed = false
+		}
+	}
+	g.senders = senders
+	if len(senders) == 0 {
+		return
+	}
 	for d, pd := range g.parts {
 		box := g.inbox[:0]
-		for _, ps := range g.parts {
+		for _, ps := range senders {
 			if len(ps.out[d]) > 0 {
 				box = append(box, ps.out[d]...)
 				clear(ps.out[d])
@@ -382,10 +427,19 @@ func (g *Engine) minNextEvent() (float64, bool) {
 	return t, found
 }
 
-// runWindow executes every partition with work before the window end,
-// concurrently when more than one is active and workers allow. A lone
-// active partition runs inline — the common tail pattern when one node
-// straggles — skipping the dispatch round trip.
+// dispatchMinSwitches is the process-switch count a window must reach
+// for the next window to be handed to workers. Window sizes are
+// bimodal: wavefront windows run a few switches, the bulk of every
+// halo-exchange or compute-bound job runs in windows of hundreds, so
+// the threshold sits between the modes.
+const dispatchMinSwitches = 64
+
+// runWindow executes every partition with work before the window end.
+// They run concurrently on the workers when more than one is active,
+// workers exist, and the previous window was not narrow; otherwise they
+// run inline on the coordinator, skipping the dispatch round trip —
+// which a lone straggling partition or a wavefront's few process
+// switches never earn back.
 func (g *Engine) runWindow(w float64) {
 	g.window = w
 	var solo *partition
@@ -397,28 +451,38 @@ func (g *Engine) runWindow(w float64) {
 		}
 	}
 	g.stat.IdleParts += int64(len(g.parts) - active)
-	if active == 0 {
+	switch {
+	case active == 0:
 		return
-	}
-	if active == 1 {
+	case active == 1:
 		g.runOne(solo)
-		return
-	}
-	if g.work == nil {
+	case g.work == nil || g.narrow:
 		for _, p := range g.parts {
 			if nt, ok := p.env.NextEventTime(); ok && nt < w {
 				g.runOne(p)
 			}
 		}
-		return
-	}
-	g.wg.Add(active)
-	for _, p := range g.parts {
-		if nt, ok := p.env.NextEventTime(); ok && nt < w {
-			g.work <- p
+	default:
+		g.stat.Dispatched++
+		g.wg.Add(active)
+		for _, p := range g.parts {
+			if nt, ok := p.env.NextEventTime(); ok && nt < w {
+				g.work <- p
+			}
 		}
+		g.wg.Wait()
 	}
-	g.wg.Wait()
+	s := g.totalSwitches()
+	g.switches, g.narrow = s, s-g.switches < dispatchMinSwitches
+}
+
+// totalSwitches sums the partitions' process-switch counters.
+func (g *Engine) totalSwitches() int64 {
+	var n int64
+	for _, p := range g.parts {
+		n += p.env.Counters().Switches
+	}
+	return n
 }
 
 // worker drains partition executions dispatched by runWindow. The

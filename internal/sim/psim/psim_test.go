@@ -250,3 +250,45 @@ func TestEngineReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestNarrowWindowsRunInline pins the dispatch rule on two synthetic
+// partitions that are both active in two windows, the second ten
+// lookaheads after the first. The first window always goes to the
+// workers. The second follows it to the workers only when the first ran
+// at least dispatchMinSwitches process switches; after a tiny first
+// window it runs inline on the coordinator. A single worker never
+// dispatches.
+func TestNarrowWindowsRunInline(t *testing.T) {
+	run := func(workers, waits int) Stats {
+		g := Acquire(2, workers, look)
+		defer g.Release()
+		for i := 0; i < 2; i++ {
+			// Each wait is one process switch inside the first window.
+			g.NodeEnv(i).Spawn("busy", func(p *sim.Proc) {
+				for k := 0; k < waits; k++ {
+					p.Wait(look / 100)
+				}
+			})
+			g.NodeEnv(i).AtArg(10*look, func(any) {}, nil)
+		}
+		if err := g.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return g.Stats()
+	}
+	for _, tc := range []struct {
+		name                string
+		workers, waits      int
+		windows, dispatched int64
+	}{
+		{"tiny first window", 2, 1, 2, 1},
+		{"large first window", 2, dispatchMinSwitches, 2, 2},
+		{"one worker", 1, dispatchMinSwitches, 2, 0},
+	} {
+		st := run(tc.workers, tc.waits)
+		if st.Windows != tc.windows || st.Dispatched != tc.dispatched {
+			t.Errorf("%s: %d windows, %d dispatched; want %d, %d",
+				tc.name, st.Windows, st.Dispatched, tc.windows, tc.dispatched)
+		}
+	}
+}

@@ -54,6 +54,9 @@ func parityJobs(t *testing.T) []spec.RunSpec {
 // fingerprints — the full event timeline, per-rank totals, and aggregate
 // usage down to the last ULP. This is the determinism contract of
 // internal/sim/psim: worker count selects wall-clock strategy only.
+// Every partitioned run must hand at least one window to the workers,
+// so the concurrent path stays under the race detector even though the
+// engine runs narrow windows inline.
 func TestParallelEngineParity(t *testing.T) {
 	for _, rs := range parityJobs(t) {
 		rs := rs
@@ -75,6 +78,10 @@ func TestParallelEngineParity(t *testing.T) {
 					t.Errorf("workers=%d diverged from serial engine\n%s",
 						w, firstDiff(want, got))
 				}
+				if res.Psim.Dispatched < 1 {
+					t.Errorf("workers=%d: no window dispatched to workers (%d windows)",
+						w, res.Psim.Windows)
+				}
 			}
 		})
 	}
@@ -84,8 +91,9 @@ func TestParallelEngineParity(t *testing.T) {
 // runs of the same jobs under -race, exercising pooled-job and pooled-
 // engine reuse: a serial run must leave no state behind that corrupts a
 // following partitioned run and vice versa, and concurrent partition
-// execution must be free of data races. Fingerprints are checked against
-// the first run of each job.
+// execution must be free of data races: every partitioned run must
+// dispatch at least one window to its workers. Fingerprints are checked
+// against the first run of each job.
 func TestParallelEngineStress(t *testing.T) {
 	jobs := []spec.RunSpec{
 		{Benchmark: "tealeaf", Class: bench.Tiny,
@@ -110,6 +118,10 @@ func TestParallelEngineStress(t *testing.T) {
 				if err != nil {
 					t.Errorf("goroutine %d workers=%d: %v", g, w, err)
 					return
+				}
+				if w > 1 && res.Psim.Dispatched < 1 {
+					t.Errorf("goroutine %d: %s at workers=%d dispatched no window",
+						g, rs.Benchmark, w)
 				}
 				got := renderDeterminism(res, true)
 				mu.Lock()

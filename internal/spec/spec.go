@@ -14,6 +14,7 @@ import (
 	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/mpi"
 	"github.com/spechpc/spechpc-sim/internal/netsim"
+	"github.com/spechpc/spechpc-sim/internal/sim/psim"
 	"github.com/spechpc/spechpc-sim/internal/trace"
 )
 
@@ -59,6 +60,9 @@ type RunResult struct {
 	Report bench.RunReport
 	// Trace is the recorder (always non-nil).
 	Trace *trace.Recorder
+	// Psim holds the partitioned engine's window statistics; it is zero
+	// for runs on the serial engine.
+	Psim psim.Stats
 }
 
 // Run executes and verifies one benchmark.
@@ -126,6 +130,7 @@ func Run(rs RunSpec) (RunResult, error) {
 		RawUsage: res.Usage,
 		Report:   rep,
 		Trace:    rec,
+		Psim:     res.Psim,
 	}, nil
 }
 

@@ -14,7 +14,7 @@
 #   scripts/bench_compare.sh record  [out.bench]       # default bench/baseline.bench
 #   scripts/bench_compare.sh compare [baseline.bench]  # gate fresh samples against a baseline
 #   scripts/bench_compare.sh fig5    [out.bench]       # headline macro benchmark samples
-#   scripts/bench_compare.sh workers [out.bench]       # worker + window-mode scaling sweep (lbm, pot3d, compute-heavy) + tables
+#   scripts/bench_compare.sh workers [out.bench]       # worker scaling sweep (lbm, pot3d, compute-heavy, minisweep) + tables
 #   scripts/bench_compare.sh json    <in.bench> [out]  # benchfmt -> flat JSON means (stdout default)
 #
 # Environment:
@@ -71,22 +71,25 @@ fig5)
     echo "bench_compare: recorded $(count_benches "$OUT") headline macro samples to $OUT"
     ;;
 workers)
-    # Sweep the partitioned-engine worker ladder on three multi-node
-    # jobs — communication-heavy lbm (Fig5), compute-bound pot3d, and
-    # the compute-heavy staggered-flow job the earliest-output window
-    # targets — and print a scaling table per job (mean ns/op, speedup
-    # vs the serial engine). Results are byte-identical at every worker
-    # count, so the sweep isolates execution strategy. With
-    # BENCH_MIN_SPEEDUP set, additionally gate workers=8 vs serial on
-    # the two kernel jobs via benchgate -assert (as the CI psim gate
-    # does). The compute-heavy job's window collapse is pinned by
-    # TestComputeHeavyWindowCeiling, a deterministic counter test.
+    # Sweep the partitioned-engine worker ladder on four multi-node
+    # jobs — communication-heavy lbm (Fig5), compute-bound pot3d, the
+    # compute-heavy staggered-flow job the earliest-output window
+    # targets, and the minisweep wavefront whose narrow windows run
+    # inline on the coordinator — and print a scaling table per job
+    # (mean ns/op, speedup vs the serial engine). Results are
+    # byte-identical at every worker count, so the sweep isolates
+    # execution strategy. With BENCH_MIN_SPEEDUP set, additionally gate
+    # workers=8 vs serial on the lbm and pot3d jobs via benchgate
+    # -assert (as the CI psim gate does); the minisweep table is
+    # information only. The compute-heavy job's window collapse and the
+    # minisweep job's inline windows are pinned by deterministic counter
+    # tests (TestComputeHeavyWindowCeiling, TestWavefrontWindowsRunInline).
     OUT="${2:-bench/workers.bench}"
     mkdir -p "$(dirname "$OUT")"
-    run_benches "." '^Benchmark(Fig5|Pot3d|ComputeHeavy)MultiNodeJob$' 1x "$COUNT" > "$OUT"
+    run_benches "." '^Benchmark(Fig5|Pot3d|ComputeHeavy|Minisweep)MultiNodeJob$' 1x "$COUNT" > "$OUT"
     echo "bench_compare: recorded $(count_benches "$OUT") worker-sweep samples to $OUT"
     awk '
-        /^Benchmark(Fig5|Pot3d|ComputeHeavy)MultiNodeJob\// {
+        /^Benchmark(Fig5|Pot3d|ComputeHeavy|Minisweep)MultiNodeJob\// {
             name = $1; sub(/-[0-9]+$/, "", name)
             sub(/^Benchmark/, "", name); sub(/MultiNodeJob\//, "/", name)
             split(name, p, "/"); job = p[1]; eng = p[2]
