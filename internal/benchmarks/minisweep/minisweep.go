@@ -161,7 +161,7 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 				if st.rqY != nil {
 					inY = st.rqY.Message().Data
 				}
-				outX, outY := sw.sweepBlock(st.oct, inX, inY)
+				outX, outY := sw.sweep(st.oct, inX, inY)
 				r.Compute(blockPhase)
 				tag := 80 + st.oct
 				if st.downX >= 0 {
@@ -180,6 +180,9 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 		}
 		r.Waitall(sends)
 	}
+	if sweeperDone != nil {
+		sweeperDone(sw)
+	}
 
 	rep := bench.RunReport{StepsModeled: cfg.iters, StepsSimulated: simIters}
 	if r.ID() == 0 {
@@ -195,6 +198,10 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 	}
 	return rep, nil
 }
+
+// sweeperDone, when a test sets it, receives each rank's sweeper once
+// its sweeps are done, before rank 0's checks read psi.
+var sweeperDone func(*sweeper)
 
 // octState tracks one octant's sweep progress: its up/downwind neighbors,
 // the next z-block to compute, and the posted inflow receives.

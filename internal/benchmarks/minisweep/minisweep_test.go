@@ -11,11 +11,18 @@ import (
 
 func runSweep(t *testing.T, n int) (mpi.Result, bench.RunReport, *trace.Recorder) {
 	t.Helper()
+	return runSweepSteps(t, n, 1)
+}
+
+// runSweepSteps runs the tiny class on n ranks of ClusterA for steps
+// sweep iterations.
+func runSweepSteps(t *testing.T, n, steps int) (mpi.Result, bench.RunReport, *trace.Recorder) {
+	t.Helper()
 	rec := trace.NewRecorder(n, false)
 	var rep bench.RunReport
 	res, err := mpi.Run(mpi.Config{Cluster: machine.ClusterA(), Ranks: n, Trace: rec},
 		func(r *mpi.Rank) {
-			rr, err := run(r, bench.Tiny, bench.Options{SimSteps: 1})
+			rr, err := run(r, bench.Tiny, bench.Options{SimSteps: steps})
 			if err != nil {
 				t.Error(err)
 			}
@@ -52,7 +59,7 @@ func TestSweepDirectionality(t *testing.T) {
 	// With vacuum inflow and a positive source, the flux must grow along
 	// the sweep direction (upwind accumulates source).
 	s := newSweeper(8, 8, 8, 1, 1)
-	s.sweepBlock(0, nil, nil) // +x +y +z octant
+	s.sweep(0, nil, nil) // +x +y +z octant
 	first := s.psi[s.idx(0, 0, 0, 0, 0)]
 	last := s.psi[s.idx(0, 0, 7, 7, 7)]
 	if last <= first {
@@ -64,11 +71,11 @@ func TestFaceContinuity(t *testing.T) {
 	// Feeding a block's outgoing face into another sweeper must give a
 	// higher flux than vacuum inflow (transport across the interface).
 	a := newSweeper(6, 6, 6, 2, 2)
-	outX, _ := a.sweepBlock(0, nil, nil)
+	outX, _ := a.sweep(0, nil, nil)
 	b := newSweeper(6, 6, 6, 2, 2)
-	b.sweepBlock(0, outX, nil)
+	b.sweep(0, outX, nil)
 	vac := newSweeper(6, 6, 6, 2, 2)
-	vac.sweepBlock(0, nil, nil)
+	vac.sweep(0, nil, nil)
 	_, hiB := b.fluxBounds()
 	_, hiVac := vac.fluxBounds()
 	if hiB <= hiVac {
@@ -110,12 +117,14 @@ func TestVectorizationRatio(t *testing.T) {
 }
 
 // BenchmarkSweepBlock times one octant sweep of a 12x12x8 block (two
-// angles, two groups) fed full inflow faces: the kernel's inner loop.
+// angles, two groups) fed full inflow faces: the kernel's inner loop,
+// without the memo in front of it.
 func BenchmarkSweepBlock(b *testing.B) {
-	inX, inY := newSweeper(12, 12, 8, 2, 2).sweepBlock(0, nil, nil)
+	inX, inY := newSweeper(12, 12, 8, 2, 2).sweep(0, nil, nil)
 	s := newSweeper(12, 12, 8, 2, 2)
+	outX, outY := make([]float64, s.faceXLen()), make([]float64, s.faceYLen())
 	b.ReportAllocs()
 	for oct := 0; b.Loop(); oct++ {
-		s.sweepBlock(oct&7, inX, inY)
+		s.sweepBlock(oct&7, inX, inY, outX, outY)
 	}
 }
