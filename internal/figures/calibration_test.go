@@ -5,7 +5,7 @@ import (
 
 	"github.com/spechpc/spechpc-sim/internal/analysis"
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
-	"github.com/spechpc/spechpc-sim/internal/machine"
+	"github.com/spechpc/spechpc-sim/internal/scenario"
 )
 
 // TestNodeEfficiencyBands pins the Sect. 4.1.1 parallel-efficiency table
@@ -28,13 +28,14 @@ func TestNodeEfficiencyBands(t *testing.T) {
 		"weather":    {95, 121, 8},
 	}
 	ctx := quietTestCtx(t)
-	for _, cs := range []*machine.ClusterSpec{machine.ClusterA(), machine.ClusterB()} {
-		sweeps, err := ctx.nodeSweepAll(cs)
-		if err != nil {
-			t.Fatal(err)
-		}
+	groups, err := ctx.results(nodeSweepScenario(ctx), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range groups {
+		cs := g.Cluster
 		for name, want := range paper {
-			eff, err := analysis.DomainEfficiency(analysis.Points(sweeps[name]),
+			eff, err := analysis.DomainEfficiency(analysis.Points(g.Runs[name]),
 				cs.CPU.CoresPerDomain(), cs.CPU.CoresPerNode())
 			if err != nil {
 				t.Fatal(err)
@@ -68,15 +69,11 @@ func TestAccelerationBands(t *testing.T) {
 		"weather":    {2.03, 0.15},
 	}
 	ctx := quietTestCtx(t)
-	a, b := machine.ClusterA(), machine.ClusterB()
-	sweepsA, err := ctx.nodeSweepAll(a)
+	groups, err := ctx.results(nodeSweepScenario(ctx), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweepsB, err := ctx.nodeSweepAll(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sweepsA, sweepsB := groups[0].Runs, groups[1].Runs
 	for name, want := range paper {
 		ra := sweepsA[name][len(sweepsA[name])-1].Usage
 		rb := sweepsB[name][len(sweepsB[name])-1].Usage
@@ -91,13 +88,12 @@ func TestAccelerationBands(t *testing.T) {
 // encode them directly, so the tolerance is tight).
 func TestVectorizationExact(t *testing.T) {
 	ctx := quietTestCtx(t)
-	a := machine.ClusterA()
+	groups, err := ctx.results(simdScenario(ctx), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, b := range bench.All() {
-		res, err := ctx.sweep(a, b.Name, bench.Tiny, []int{4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := 100 * res[0].Usage.SIMDRatio()
+		got := 100 * groups[0].Runs[b.Name][0].Usage.SIMDRatio()
 		if got < b.VectorPct-1 || got > b.VectorPct+1 {
 			t.Errorf("%s: vectorization %.1f%%, paper %.1f%%", b.Name, got, b.VectorPct)
 		}
@@ -108,29 +104,33 @@ func TestVectorizationExact(t *testing.T) {
 // cool codes below, DRAM saturation levels.
 func TestPowerLevels(t *testing.T) {
 	ctx := quietTestCtx(t)
-	a := machine.ClusterA()
+	sc := &scenario.Scenario{Name: "power", Jobs: []scenario.Job{
+		{Benchmark: "sph-exa", Cluster: "ClusterA", Class: bench.Tiny, Ranks: 36},
+		{Benchmark: "soma", Cluster: "ClusterA", Class: bench.Tiny, Ranks: 36},
+		{Benchmark: "pot3d", Cluster: "ClusterA", Class: bench.Tiny, Ranks: 18},
+	}}
 	// sph-exa at a full socket: 98% of 250 W.
-	res, err := ctx.sweep(a, "sph-exa", bench.Tiny, []int{36})
+	res, err := ctx.job(sc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := res[0].Usage.SocketChipPower[0]; p < 235 || p > 248 {
+	if p := res.Usage.SocketChipPower[0]; p < 235 || p > 248 {
 		t.Errorf("sph-exa socket power %.0f W, paper ~244", p)
 	}
 	// soma at a full socket: ~89% of TDP (222 W).
-	res, err = ctx.sweep(a, "soma", bench.Tiny, []int{36})
+	res, err = ctx.job(sc, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := res[0].Usage.SocketChipPower[0]; p < 205 || p > 235 {
+	if p := res.Usage.SocketChipPower[0]; p < 205 || p > 235 {
 		t.Errorf("soma socket power %.0f W, paper ~222", p)
 	}
 	// pot3d saturating one domain: ~16 W DRAM.
-	res, err = ctx.sweep(a, "pot3d", bench.Tiny, []int{18})
+	res, err = ctx.job(sc, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := res[0].Usage.DomainDRAMPower[0]; p < 14 || p > 18 {
+	if p := res.Usage.DomainDRAMPower[0]; p < 14 || p > 18 {
 		t.Errorf("pot3d domain DRAM power %.1f W, paper ~16", p)
 	}
 }

@@ -4,12 +4,8 @@ import (
 	"fmt"
 
 	"github.com/spechpc/spechpc-sim/internal/analysis"
-	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
-	"github.com/spechpc/spechpc-sim/internal/campaign"
-	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/report"
 	"github.com/spechpc/spechpc-sim/internal/scenario"
-	"github.com/spechpc/spechpc-sim/internal/spec"
 	"github.com/spechpc/spechpc-sim/internal/units"
 )
 
@@ -33,14 +29,6 @@ func clockKernels() (memBound, computeBound string) {
 	return pick("pot3d", memB), pick("sph-exa", nonMemB)
 }
 
-// clockLadder returns the frequency sweep points for a cluster; Quick
-// mode keeps only the endpoints and the midpoint of the DVFS ladder.
-// Delegates to the scenario axis resolver so the figclock plan and this
-// renderer can never disagree about the points.
-func (ctx *Context) clockLadder(cs *machine.ClusterSpec) []float64 {
-	return scenario.ClockLadder(cs, ctx.Quick)
-}
-
 // FigEnergyClock is the DVFS frequency study: each contrast kernel runs
 // on one ccNUMA domain across the cluster's clock ladder, producing the
 // Z-plot-style wall-time-vs-energy curve per kernel, a per-point table
@@ -53,9 +41,10 @@ func FigEnergyClock(ctx *Context) error {
 	return ctx.runPlan(figclockScenario, renderFigEnergyClock)
 }
 
-// renderFigEnergyClock renders the frequency study from the warm memo.
-func renderFigEnergyClock(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+// renderFigEnergyClock renders the frequency study from the scenario's
+// sweeps, one per context cluster with a DVFS ladder.
+func renderFigEnergyClock(ctx *Context, sc *scenario.Scenario) error {
+	clusters, err := ctx.planner().Clusters(nil)
 	if err != nil {
 		return err
 	}
@@ -68,15 +57,20 @@ func renderFigEnergyClock(ctx *Context) error {
 		"Frequency study: energy-optimal operating points (one ccNUMA domain, tiny)",
 		"cluster", "kernel", "class", "clock at min E", "clock at min EDP",
 		"E saved vs max clock %", "wall penalty at min E %")
+	si := 0
 	for _, cs := range clusters {
-		ladder := ctx.clockLadder(cs)
-		if len(ladder) == 0 {
+		if len(cs.CPU.DVFS.Ladder()) == 0 {
 			if _, err := fmt.Fprintf(ctx.out(),
 				"frequency study skipped on %s: no DVFS ladder\n", cs.Name); err != nil {
 				return err
 			}
 			continue
 		}
+		groups, err := ctx.results(sc, si)
+		if err != nil {
+			return err
+		}
+		si++
 		ranks := cs.CPU.CoresPerDomain()
 		zPlot := report.NewPlot(
 			fmt.Sprintf("Frequency study %s: wall time vs energy across the clock ladder", cs.Name),
@@ -84,22 +78,11 @@ func renderFigEnergyClock(ctx *Context) error {
 		ptsTable := report.NewTable(
 			fmt.Sprintf("Frequency study %s: per-clock metrics (%d ranks)", cs.Name, ranks),
 			"kernel", "clock", "wall", "energy", "J/Gflop", "EDP Js")
-		var zSeries []report.Series
 		for _, k := range kernels {
 			if k.name == "" {
 				continue
 			}
-			results, err := campaign.Results(ctx.engine().Run(spec.RunSpec{
-				Benchmark: k.name,
-				Class:     bench.Tiny,
-				Cluster:   cs,
-				Ranks:     ranks,
-				Options:   bench.Options{SimSteps: ctx.steps()},
-			}.AtClocks(ladder)))
-			if err != nil {
-				return fmt.Errorf("frequency sweep %s on %s: %w", k.name, cs.Name, err)
-			}
-			pts := analysis.ClockPoints(results)
+			pts := analysis.ClockPoints(groups[0].Runs[k.name])
 			xs := make([]float64, len(pts))
 			ys := make([]float64, len(pts))
 			for i, p := range pts {
@@ -113,7 +96,6 @@ func renderFigEnergyClock(ctx *Context) error {
 					fmt.Sprintf("%.3g", p.EDP))
 			}
 			zPlot.Add(k.name, xs, ys)
-			zSeries = append(zSeries, report.Series{Name: k.name, X: xs, Y: ys})
 
 			minE := pts[analysis.MinEnergyClock(pts)]
 			minEDP := pts[analysis.MinEDPClock(pts)]
@@ -124,22 +106,12 @@ func renderFigEnergyClock(ctx *Context) error {
 				fmt.Sprintf("%.1f", 100*(1-minE.Energy/max.Energy)),
 				fmt.Sprintf("%.1f", 100*(minE.Wall/max.Wall-1)))
 		}
-		if err := zPlot.Write(ctx.out()); err != nil {
+		if err := ctx.emitPlot(zPlot, fmt.Sprintf("figclock_zplot_%s.csv", cs.Name), "wall_s"); err != nil {
 			return err
 		}
-		if err := ptsTable.Write(ctx.out()); err != nil {
-			return err
-		}
-		if err := ctx.saveSeriesCSV(
-			fmt.Sprintf("figclock_zplot_%s.csv", cs.Name), "wall_s", zSeries); err != nil {
-			return err
-		}
-		if err := ctx.saveCSV(fmt.Sprintf("figclock_points_%s.csv", cs.Name), ptsTable); err != nil {
+		if err := ctx.emitTable(ptsTable, fmt.Sprintf("figclock_points_%s.csv", cs.Name)); err != nil {
 			return err
 		}
 	}
-	if err := optTable.Write(ctx.out()); err != nil {
-		return err
-	}
-	return ctx.saveCSV("figclock_optimal.csv", optTable)
+	return ctx.emitTable(optTable, "figclock_optimal.csv")
 }

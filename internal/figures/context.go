@@ -4,10 +4,14 @@
 // scaling, power, and energy (Sect. 5, small suite).
 //
 // Each experiment is a built-in scenario: its job plan (benchmarks,
-// clusters, rank/clock axes) is a declarative scenario.Scenario value in
-// scenarios.go, and running an experiment first warms the campaign
-// engine with the whole plan through the shared scenario planner, then
-// renders the paper's bespoke tables/plots from the memoized results.
+// clusters, rank/clock axes, pinned jobs) is declared once, as a
+// scenario.Scenario value in scenarios.go. Running an experiment
+// enqueues that scenario's expansion on the campaign engine, then
+// renders the paper's bespoke tables and plots from the same expansion:
+// the renderer reads each sweep's results (grouped by cluster and
+// benchmark) and each pinned job's result through the shared scenario
+// planner, exactly as the generic scenario renderer does. Only the
+// presentation — titles, series, CSV names — is figure-specific.
 // Tables and ASCII plots go to the context writer, CSV files into the
 // output directory. cmd/figures is the command-line front end; the
 // root-level benchmark harness drives the same functions.
@@ -24,12 +28,9 @@ import (
 	"context"
 	"io"
 	"os"
-	"path/filepath"
 
-	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
 	_ "github.com/spechpc/spechpc-sim/internal/benchmarks/suite" // register all nine kernels
 	"github.com/spechpc/spechpc-sim/internal/campaign"
-	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/report"
 	"github.com/spechpc/spechpc-sim/internal/scenario"
 	"github.com/spechpc/spechpc-sim/internal/spec"
@@ -83,60 +84,20 @@ func (ctx *Context) engine() *campaign.Engine {
 	return ctx.Engine
 }
 
-// clusterSpecs resolves the context's cluster names through the machine
-// registry.
-func (ctx *Context) clusterSpecs() ([]*machine.ClusterSpec, error) {
-	names := ctx.Clusters
-	if len(names) == 0 {
-		names = []string{"ClusterA", "ClusterB"}
+// emitPlot draws a plot to the writer and saves its series as CSV.
+func (ctx *Context) emitPlot(p *report.Plot, csv, xName string) error {
+	if err := p.Write(ctx.out()); err != nil {
+		return err
 	}
-	out := make([]*machine.ClusterSpec, 0, len(names))
-	for _, n := range names {
-		cs, err := machine.Get(n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cs)
-	}
-	return out, nil
+	return report.SaveSeriesCSV(ctx.OutDir, csv, xName, p.Series)
 }
 
-// paperCluster resolves one of the paper's named systems for artifacts
-// pinned to a specific machine (insets, calibration tables).
-func paperCluster(name string) (*machine.ClusterSpec, error) {
-	return machine.Get(name)
-}
-
-// saveCSV writes a table as CSV into OutDir.
-func (ctx *Context) saveCSV(name string, t *report.Table) error {
-	if ctx.OutDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(ctx.OutDir, 0o755); err != nil {
+// emitTable draws a table to the writer and saves it as CSV.
+func (ctx *Context) emitTable(t *report.Table, csv string) error {
+	if err := t.Write(ctx.out()); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(ctx.OutDir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return t.WriteCSV(f)
-}
-
-// saveSeriesCSV writes plot series as CSV into OutDir.
-func (ctx *Context) saveSeriesCSV(name, xName string, series []report.Series) error {
-	if ctx.OutDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(ctx.OutDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(ctx.OutDir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return report.SeriesCSV(f, xName, series)
+	return report.SaveCSV(ctx.OutDir, csv, t)
 }
 
 // planner returns the shared scenario planner view of the context: same
@@ -152,84 +113,29 @@ func (ctx *Context) planner() *scenario.Planner {
 
 // runPlan executes one built-in experiment: submit the declarative
 // scenario plan to the scheduler as one asynchronous batch, then render
-// the paper artifact — the renderer's engine requests coalesce onto the
-// in-flight jobs and block only on the results each table or plot
-// actually needs, so rendering starts while the tail of the plan is
-// still simulating. Per-job failures are surfaced by the renderer,
-// which has the experiment context for error messages.
-func (ctx *Context) runPlan(plan func(*Context) *scenario.Scenario, render func(*Context) error) error {
-	if plan != nil {
-		if sc := plan(ctx); sc != nil {
-			if _, err := ctx.planner().Enqueue(context.Background(), sc); err != nil {
-				return err
-			}
+// the paper artifact from that same scenario — the renderer reads each
+// sweep's and pinned job's results through the planner, joining the
+// in-flight jobs, so rendering starts while the tail of the plan is
+// still simulating. Per-job failures are surfaced by the renderer.
+func (ctx *Context) runPlan(plan func(*Context) *scenario.Scenario, render func(*Context, *scenario.Scenario) error) error {
+	sc := plan(ctx)
+	if sc != nil {
+		if _, err := ctx.planner().Enqueue(context.Background(), sc); err != nil {
+			return err
 		}
 	}
-	return render(ctx)
+	return render(ctx, sc)
 }
 
-// nodePoints returns the node-level sweep points for a cluster.
-func (ctx *Context) nodePoints(cs *machine.ClusterSpec) []int {
-	return scenario.NodePoints(cs, ctx.Quick)
+// results returns sweep si of a built-in scenario, grouped by cluster
+// and benchmark.
+func (ctx *Context) results(sc *scenario.Scenario, si int) ([]scenario.ClusterResults, error) {
+	return ctx.planner().SweepResults(context.Background(), sc, si)
 }
 
-// domainPoints returns the within-domain sweep points (Fig. 3/4).
-func (ctx *Context) domainPoints(cs *machine.ClusterSpec) []int {
-	return scenario.DomainPoints(cs, ctx.Quick)
-}
-
-// multiPoints returns multi-node sweep points (Fig. 5/6).
-func (ctx *Context) multiPoints(cs *machine.ClusterSpec) []int {
-	return scenario.MultiNodePoints(cs, ctx.Quick)
-}
-
-// steps returns the per-kernel simulated step override.
-func (ctx *Context) steps() int {
-	if ctx.Quick {
-		return 1
-	}
-	return 0 // kernel default
-}
-
-// sweep runs one benchmark sweep through the campaign engine.
-func (ctx *Context) sweep(cs *machine.ClusterSpec, benchName string, class bench.Class, points []int) ([]spec.RunResult, error) {
-	return campaign.Results(ctx.engine().Run(spec.RunSpec{
-		Benchmark: benchName,
-		Class:     class,
-		Cluster:   cs,
-		Options:   bench.Options{SimSteps: ctx.steps()},
-	}.AtRanks(points)))
-}
-
-// sweepAll runs one class sweep for every registered benchmark as a
-// single campaign batch, so jobs parallelize across kernels and rank
-// counts alike. Results are keyed by benchmark name.
-func (ctx *Context) sweepAll(cs *machine.ClusterSpec, class bench.Class, points []int) (map[string][]spec.RunResult, error) {
-	names := bench.Names()
-	var jobs []spec.RunSpec
-	for _, name := range names {
-		jobs = append(jobs, spec.RunSpec{
-			Benchmark: name,
-			Class:     class,
-			Cluster:   cs,
-			Options:   bench.Options{SimSteps: ctx.steps()},
-		}.AtRanks(points)...)
-	}
-	results, err := campaign.Results(ctx.engine().Run(jobs))
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]spec.RunResult, len(names))
-	for i, name := range names {
-		out[name] = results[i*len(points) : (i+1)*len(points)]
-	}
-	return out, nil
-}
-
-// run executes single jobs through the engine (memoized like sweeps).
-func (ctx *Context) run(rs spec.RunSpec) (spec.RunResult, error) {
-	out := ctx.engine().Run([]spec.RunSpec{rs})
-	return out[0].Result, out[0].Err
+// job returns the result of a built-in scenario's pinned job i.
+func (ctx *Context) job(sc *scenario.Scenario, i int) (spec.RunResult, error) {
+	return ctx.planner().JobResult(context.Background(), sc, i)
 }
 
 // Experiment is one regenerable artifact of the paper.
@@ -242,7 +148,7 @@ type Experiment struct {
 	// through the shared planner before rendering; nil for table-only
 	// experiments that run no simulations.
 	Scenario func(*Context) *scenario.Scenario
-	// Run produces the artifact (warm the plan, then render).
+	// Run produces the artifact (enqueue the plan, then render it).
 	Run func(*Context) error
 }
 

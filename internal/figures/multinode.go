@@ -7,80 +7,45 @@ import (
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
 	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/report"
-	"github.com/spechpc/spechpc-sim/internal/spec"
+	"github.com/spechpc/spechpc-sim/internal/scenario"
 )
 
-// multiSweepAll runs the small-suite multi-node sweep for every benchmark
-// as one parallel campaign batch. The engine memoizes every point, so
-// Fig5, Fig6, and the scaling-case table simulate each (benchmark,
-// cluster, ranks) job at most once per process.
-func (ctx *Context) multiSweepAll(cs *machine.ClusterSpec) (map[string][]spec.RunResult, error) {
-	out, err := ctx.sweepAll(cs, bench.Small, ctx.multiPoints(cs))
-	if err != nil {
-		return nil, fmt.Errorf("multi-node sweep on %s: %w", cs.Name, err)
-	}
-	return out, nil
-}
-
-// Fig5 runs the Fig. 5 experiment: warm the multi-node scenario plan,
-// then render.
+// Fig5 runs the Fig. 5 experiment: enqueue the multi-node scenario
+// plan, then render. The engine memoizes every point, so Fig5, Fig6,
+// and the scaling-case table simulate each (benchmark, cluster, ranks)
+// job at most once per process.
 func Fig5(ctx *Context) error { return ctx.runPlan(multiNodeScenario, renderFig5) }
 
 // renderFig5 renders multi-node speedup, per-node memory bandwidth, and
 // aggregate memory volume for the small suite on both clusters.
-func renderFig5(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+func renderFig5(ctx *Context, sc *scenario.Scenario) error {
+	groups, err := ctx.results(sc, 0)
 	if err != nil {
 		return err
 	}
-	for _, cs := range clusters {
-		sweeps, err := ctx.multiSweepAll(cs)
-		if err != nil {
-			return err
-		}
-		type metric struct {
+	for _, g := range groups {
+		for _, m := range []struct {
 			tag  string
 			name string
-			get  func(r spec.RunResult) float64
-		}
-		metrics := []metric{
-			{"speedup", "speedup (1-node baseline)", nil}, // handled specially
-			{"pernode_bw", "per-node memory bandwidth [GB/s]", func(r spec.RunResult) float64 {
-				return r.Usage.MemBandwidth() / 1e9 / float64(r.Usage.Nodes)
+			get  func(machine.Usage) float64 // nil = speedup
+		}{
+			{"speedup", "speedup (1-node baseline)", nil},
+			{"pernode_bw", "per-node memory bandwidth [GB/s]", func(u machine.Usage) float64 {
+				return u.MemBandwidth() / 1e9 / float64(u.Nodes)
 			}},
-			{"memvol", "aggregate memory data volume [GB]", func(r spec.RunResult) float64 {
-				return r.Usage.BytesMem / 1e9
+			{"memvol", "aggregate memory data volume [GB]", func(u machine.Usage) float64 {
+				return u.BytesMem / 1e9
 			}},
-		}
-		for _, m := range metrics {
+		} {
 			plot := report.NewPlot(
-				fmt.Sprintf("Fig.5 %s %s (small suite)", cs.Name, m.name),
+				fmt.Sprintf("Fig.5 %s %s (small suite)", g.Cluster.Name, m.name),
 				"processes", m.name)
-			var series []report.Series
-			for _, name := range bench.Names() {
-				res := sweeps[name]
-				xs := make([]float64, len(res))
-				ys := make([]float64, len(res))
-				if m.get == nil {
-					sp := analysis.Speedup(analysis.Points(res))
-					for i, r := range res {
-						xs[i] = float64(r.Usage.Ranks)
-						ys[i] = sp[i]
-					}
-				} else {
-					for i, r := range res {
-						xs[i] = float64(r.Usage.Ranks)
-						ys[i] = m.get(r)
-					}
-				}
-				plot.Add(name, xs, ys)
-				series = append(series, report.Series{Name: name, X: xs, Y: ys})
+			if m.get == nil {
+				plotSpeedup(plot, g)
+			} else {
+				plotRanks(plot, g, m.get)
 			}
-			if err := plot.Write(ctx.out()); err != nil {
-				return err
-			}
-			if err := ctx.saveSeriesCSV(
-				fmt.Sprintf("fig5_%s_%s.csv", m.tag, cs.Name), "ranks", series); err != nil {
+			if err := ctx.emitPlot(plot, fmt.Sprintf("fig5_%s_%s.csv", m.tag, g.Cluster.Name), "ranks"); err != nil {
 				return err
 			}
 		}
@@ -93,7 +58,7 @@ func TextCases(ctx *Context) error { return ctx.runPlan(casesScenario, renderTex
 
 // renderTextCases reproduces the Sect. 5.1.1 scaling-case classification
 // table.
-func renderTextCases(ctx *Context) error {
+func renderTextCases(ctx *Context, sc *scenario.Scenario) error {
 	t := report.NewTable("Sect. 5.1.1: multi-node scaling cases",
 		"benchmark", "ClusterA", "ClusterB", "paper A", "paper B")
 	// The paper's published classification for comparison.
@@ -108,32 +73,18 @@ func renderTextCases(ctx *Context) error {
 		"sph-exa":    {"poor", "poor"},
 		"minisweep":  {"poor", "poor"},
 	}
-	a, err := paperCluster("ClusterA")
+	groups, err := ctx.results(sc, 0)
 	if err != nil {
 		return err
 	}
-	b, err := paperCluster("ClusterB")
-	if err != nil {
-		return err
-	}
-	sweepsA, err := ctx.multiSweepAll(a)
-	if err != nil {
-		return err
-	}
-	sweepsB, err := ctx.multiSweepAll(b)
-	if err != nil {
-		return err
-	}
+	sweepsA, sweepsB := groups[0].Runs, groups[1].Runs
 	for _, name := range bench.Names() {
 		caseA := analysis.Classify(analysis.Points(sweepsA[name]))
 		caseB := analysis.Classify(analysis.Points(sweepsB[name]))
 		p := paper[name]
 		t.AddRow(name, caseA.Short(), caseB.Short(), p[0], p[1])
 	}
-	if err := t.Write(ctx.out()); err != nil {
-		return err
-	}
-	return ctx.saveCSV("text_cases.csv", t)
+	return ctx.emitTable(t, "text_cases.csv")
 }
 
 // Fig6 runs the Fig. 6 experiment.
@@ -141,67 +92,41 @@ func Fig6(ctx *Context) error { return ctx.runPlan(multiNodeScenario, renderFig6
 
 // renderFig6 renders multi-node total power and energy for the small
 // suite.
-func renderFig6(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+func renderFig6(ctx *Context, sc *scenario.Scenario) error {
+	groups, err := ctx.results(sc, 0)
 	if err != nil {
 		return err
 	}
-	for _, cs := range clusters {
-		sweeps, err := ctx.multiSweepAll(cs)
-		if err != nil {
-			return err
-		}
+	for _, g := range groups {
+		cs := g.Cluster
 		pPlot := report.NewPlot(
 			fmt.Sprintf("Fig.6 %s total power vs processes (small suite)", cs.Name),
 			"processes", "W")
 		ePlot := report.NewPlot(
 			fmt.Sprintf("Fig.6 %s total energy vs processes (small suite)", cs.Name),
 			"processes", "J")
-		var pSeries, eSeries []report.Series
-		for _, name := range bench.Names() {
-			res := sweeps[name]
-			xs := make([]float64, len(res))
-			pw := make([]float64, len(res))
-			en := make([]float64, len(res))
-			for i, r := range res {
-				xs[i] = float64(r.Usage.Ranks)
-				pw[i] = r.Usage.TotalPower()
-				en[i] = r.Usage.TotalEnergy()
-			}
-			pPlot.Add(name, xs, pw)
-			ePlot.Add(name, xs, en)
-			pSeries = append(pSeries, report.Series{Name: name, X: xs, Y: pw})
-			eSeries = append(eSeries, report.Series{Name: name, X: xs, Y: en})
-		}
-		if err := pPlot.Write(ctx.out()); err != nil {
+		plotRanks(pPlot, g, machine.Usage.TotalPower)
+		plotRanks(ePlot, g, machine.Usage.TotalEnergy)
+		if err := ctx.emitPlot(pPlot, fmt.Sprintf("fig6_power_%s.csv", cs.Name), "ranks"); err != nil {
 			return err
 		}
-		if err := ePlot.Write(ctx.out()); err != nil {
-			return err
-		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig6_power_%s.csv", cs.Name), "ranks", pSeries); err != nil {
-			return err
-		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig6_energy_%s.csv", cs.Name), "ranks", eSeries); err != nil {
+		if err := ctx.emitPlot(ePlot, fmt.Sprintf("fig6_energy_%s.csv", cs.Name), "ranks"); err != nil {
 			return err
 		}
 		// TDP utilisation summary (Sect. 5.2: 74-85% on A, 63-76% on B).
-		full := sweeps["sph-exa"][len(sweeps["sph-exa"])-1]
+		full := g.Runs["sph-exa"][len(g.Runs["sph-exa"])-1]
 		tdpTotal := float64(full.Usage.Nodes) * float64(cs.CPU.SocketsPerNode) * cs.CPU.TDPPerSocket
 		t := report.NewTable(
 			fmt.Sprintf("Sect. 5.2 %s: chip power at full scale vs TDP", cs.Name),
 			"benchmark", "chip power kW", "% of TDP")
-		for _, name := range bench.Names() {
-			res := sweeps[name]
+		for _, name := range g.Benchmarks {
+			res := g.Runs[name]
 			last := res[len(res)-1]
 			t.AddRow(name,
 				fmt.Sprintf("%.2f", last.Usage.ChipPower()/1e3),
 				fmt.Sprintf("%.0f", 100*last.Usage.ChipPower()/tdpTotal))
 		}
-		if err := t.Write(ctx.out()); err != nil {
-			return err
-		}
-		if err := ctx.saveCSV(fmt.Sprintf("fig6_tdp_%s.csv", cs.Name), t); err != nil {
+		if err := ctx.emitTable(t, fmt.Sprintf("fig6_tdp_%s.csv", cs.Name)); err != nil {
 			return err
 		}
 	}

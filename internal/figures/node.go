@@ -7,7 +7,7 @@ import (
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
 	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/report"
-	"github.com/spechpc/spechpc-sim/internal/spec"
+	"github.com/spechpc/spechpc-sim/internal/scenario"
 	"github.com/spechpc/spechpc-sim/internal/trace"
 )
 
@@ -23,51 +23,53 @@ func splitByMemoryBound() (memBound, nonMemBound []string) {
 	return memBound, nonMemBound
 }
 
-// nodeSweepAll runs the tiny-suite node sweep for every benchmark on one
-// cluster as a single parallel campaign batch.
-func (ctx *Context) nodeSweepAll(cs *machine.ClusterSpec) (map[string][]spec.RunResult, error) {
-	out, err := ctx.sweepAll(cs, bench.Tiny, ctx.nodePoints(cs))
-	if err != nil {
-		return nil, fmt.Errorf("node sweep on %s: %w", cs.Name, err)
+// plotSpeedup adds one series per benchmark of g to plot: wall-time
+// speedup over the first rank point.
+func plotSpeedup(plot *report.Plot, g scenario.ClusterResults) {
+	for _, name := range g.Benchmarks {
+		pts := analysis.Points(g.Runs[name])
+		xs := make([]float64, len(pts))
+		for i, p := range pts {
+			xs[i] = p.Ranks
+		}
+		plot.Add(name, xs, analysis.Speedup(pts))
 	}
-	return out, nil
 }
 
-// Fig1 runs the Fig. 1 experiment: warm the scenario plan on the
+// plotRanks adds one series per benchmark of g to plot: f of each
+// result's usage over its rank count.
+func plotRanks(plot *report.Plot, g scenario.ClusterResults, f func(machine.Usage) float64) {
+	for _, name := range g.Benchmarks {
+		res := g.Runs[name]
+		xs := make([]float64, len(res))
+		ys := make([]float64, len(res))
+		for i, r := range res {
+			xs[i] = float64(r.Usage.Ranks)
+			ys[i] = f(r.Usage)
+		}
+		plot.Add(name, xs, ys)
+	}
+}
+
+// Fig1 runs the Fig. 1 experiment: enqueue the scenario plan on the
 // campaign engine, then render.
 func Fig1(ctx *Context) error { return ctx.runPlan(fig1Scenario, renderFig1) }
 
 // renderFig1 renders node-level speedup and total-vs-AVX performance for
 // both clusters (Fig. 1a-f).
-func renderFig1(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+func renderFig1(ctx *Context, sc *scenario.Scenario) error {
+	groups, err := ctx.results(sc, 0)
 	if err != nil {
 		return err
 	}
-	for _, cs := range clusters {
-		sweeps, err := ctx.nodeSweepAll(cs)
-		if err != nil {
-			return err
-		}
+	for _, g := range groups {
+		cs := g.Cluster
 		// (a, d): speedup for all nine codes.
 		spPlot := report.NewPlot(
 			fmt.Sprintf("Fig.1 %s speedup vs MPI processes (tiny)", cs.Name),
 			"processes", "speedup")
-		var spSeries []report.Series
-		for _, name := range bench.Names() {
-			pts := analysis.Points(sweeps[name])
-			sp := analysis.Speedup(pts)
-			xs := make([]float64, len(pts))
-			for i, p := range pts {
-				xs[i] = p.Ranks
-			}
-			spPlot.Add(name, xs, sp)
-			spSeries = append(spSeries, report.Series{Name: name, X: xs, Y: sp})
-		}
-		if err := spPlot.Write(ctx.out()); err != nil {
-			return err
-		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig1_speedup_%s.csv", cs.Name), "ranks", spSeries); err != nil {
+		plotSpeedup(spPlot, g)
+		if err := ctx.emitPlot(spPlot, fmt.Sprintf("fig1_speedup_%s.csv", cs.Name), "ranks"); err != nil {
 			return err
 		}
 		// (b-c, e-f): DP vs AVX-DP performance, split by memory-boundness.
@@ -79,9 +81,10 @@ func renderFig1(ctx *Context) error {
 			perfPlot := report.NewPlot(
 				fmt.Sprintf("Fig.1 %s DP vs AVX-DP performance (%s-bound codes)", cs.Name, group.tag),
 				"processes", "Mflop/s")
+			// The CSV names the AVX columns AVX-DP-<name>, the legend AVX-<name>.
 			var series []report.Series
 			for _, name := range group.names {
-				pts := analysis.Points(sweeps[name])
+				pts := analysis.Points(g.Runs[name])
 				xs := make([]float64, len(pts))
 				dp := make([]float64, len(pts))
 				avx := make([]float64, len(pts))
@@ -99,7 +102,7 @@ func renderFig1(ctx *Context) error {
 			if err := perfPlot.Write(ctx.out()); err != nil {
 				return err
 			}
-			if err := ctx.saveSeriesCSV(
+			if err := report.SaveSeriesCSV(ctx.OutDir,
 				fmt.Sprintf("fig1_perf_%s_%s.csv", group.tag, cs.Name), "ranks", series); err != nil {
 				return err
 			}
@@ -115,22 +118,18 @@ func TextEfficiency(ctx *Context) error {
 
 // renderTextEfficiency reproduces the Sect. 4.1.1 parallel-efficiency
 // table (ccNUMA-domain baseline, percent).
-func renderTextEfficiency(ctx *Context) error {
-	t := report.NewTable("Sect. 4.1.1: parallel efficiency %, domain baseline",
-		append([]string{"Cluster"}, bench.Names()...)...)
-	clusters, err := ctx.clusterSpecs()
+func renderTextEfficiency(ctx *Context, sc *scenario.Scenario) error {
+	groups, err := ctx.results(sc, 0)
 	if err != nil {
 		return err
 	}
-	for _, cs := range clusters {
-		sweeps, err := ctx.nodeSweepAll(cs)
-		if err != nil {
-			return err
-		}
+	t := report.NewTable("Sect. 4.1.1: parallel efficiency %, domain baseline",
+		append([]string{"Cluster"}, bench.Names()...)...)
+	for _, g := range groups {
+		cs := g.Cluster
 		cells := []string{cs.Name}
 		for _, name := range bench.Names() {
-			pts := analysis.Points(sweeps[name])
-			eff, err := analysis.DomainEfficiency(pts,
+			eff, err := analysis.DomainEfficiency(analysis.Points(g.Runs[name]),
 				cs.CPU.CoresPerDomain(), cs.CPU.CoresPerNode())
 			if err != nil {
 				return err
@@ -139,10 +138,7 @@ func renderTextEfficiency(ctx *Context) error {
 		}
 		t.AddRow(cells...)
 	}
-	if err := t.Write(ctx.out()); err != nil {
-		return err
-	}
-	return ctx.saveCSV("text_efficiency.csv", t)
+	return ctx.emitTable(t, "text_efficiency.csv")
 }
 
 // TextAcceleration runs the acceleration-factor experiment.
@@ -154,45 +150,34 @@ func TextAcceleration(ctx *Context) error {
 // factors: each cluster's full-node wall time relative to the first
 // (baseline) cluster of the context — ClusterB over ClusterA in the
 // paper setup.
-func renderTextAcceleration(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+func renderTextAcceleration(ctx *Context, sc *scenario.Scenario) error {
+	groups, err := ctx.results(sc, 0)
 	if err != nil {
 		return err
 	}
-	if len(clusters) < 2 {
+	if len(groups) < 2 {
 		// A single-cluster study has no cross-machine factor to report;
 		// skip rather than abort the remaining experiments.
 		_, err := fmt.Fprintf(ctx.out(),
 			"Sect. 4.1.2 acceleration factors skipped: need >= 2 clusters, have %d\n",
-			len(clusters))
+			len(groups))
 		return err
 	}
-	base := clusters[0]
-	sweepsBase, err := ctx.nodeSweepAll(base)
-	if err != nil {
-		return err
-	}
+	base := groups[0]
 	t := report.NewTable(
-		fmt.Sprintf("Sect. 4.1.2: node acceleration factor over %s", base.Name),
+		fmt.Sprintf("Sect. 4.1.2: node acceleration factor over %s", base.Cluster.Name),
 		append([]string{""}, bench.Names()...)...)
-	for _, cs := range clusters[1:] {
-		sweeps, err := ctx.nodeSweepAll(cs)
-		if err != nil {
-			return err
-		}
-		cells := []string{fmt.Sprintf("%s over %s", cs.Name, base.Name)}
+	for _, g := range groups[1:] {
+		cells := []string{fmt.Sprintf("%s over %s", g.Cluster.Name, base.Cluster.Name)}
 		for _, name := range bench.Names() {
-			lastBase := sweepsBase[name][len(sweepsBase[name])-1].Usage
-			last := sweeps[name][len(sweeps[name])-1].Usage
+			lastBase := base.Runs[name][len(base.Runs[name])-1].Usage
+			last := g.Runs[name][len(g.Runs[name])-1].Usage
 			cells = append(cells, fmt.Sprintf("%.2f",
 				analysis.AccelerationFactor(lastBase.Wall, last.Wall)))
 		}
 		t.AddRow(cells...)
 	}
-	if err := t.Write(ctx.out()); err != nil {
-		return err
-	}
-	return ctx.saveCSV("text_acceleration.csv", t)
+	return ctx.emitTable(t, "text_acceleration.csv")
 }
 
 // TextSIMD runs the vectorization-ratio experiment.
@@ -200,8 +185,8 @@ func TextSIMD(ctx *Context) error { return ctx.runPlan(simdScenario, renderTextS
 
 // renderTextSIMD reproduces the Sect. 4.1.3 vectorization-ratio table
 // (the paper measures it on the Ice Lake system).
-func renderTextSIMD(ctx *Context) error {
-	a, err := paperCluster("ClusterA")
+func renderTextSIMD(ctx *Context, sc *scenario.Scenario) error {
+	groups, err := ctx.results(sc, 0)
 	if err != nil {
 		return err
 	}
@@ -209,19 +194,12 @@ func renderTextSIMD(ctx *Context) error {
 		append([]string{""}, bench.Names()...)...)
 	cells := []string{"measured"}
 	for _, name := range bench.Names() {
-		res, err := ctx.sweep(a, name, bench.Tiny, []int{4})
-		if err != nil {
-			return err
-		}
 		b, _ := bench.Get(name)
 		cells = append(cells, fmt.Sprintf("%.1f (%.1f)",
-			100*res[0].Usage.SIMDRatio(), b.VectorPct))
+			100*groups[0].Runs[name][0].Usage.SIMDRatio(), b.VectorPct))
 	}
 	t.AddRow(cells...)
-	if err := t.Write(ctx.out()); err != nil {
-		return err
-	}
-	return ctx.saveCSV("text_simd.csv", t)
+	return ctx.emitTable(t, "text_simd.csv")
 }
 
 // Fig2 runs the Fig. 2 experiment.
@@ -230,63 +208,37 @@ func Fig2(ctx *Context) error { return ctx.runPlan(fig2Scenario, renderFig2) }
 // renderFig2 renders node bandwidth/volume behaviour plus the two
 // ITAC-style insets (minisweep serialization at 59 ranks, lbm straggler
 // at 71).
-func renderFig2(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+func renderFig2(ctx *Context, sc *scenario.Scenario) error {
+	groups, err := ctx.results(sc, 0)
 	if err != nil {
 		return err
 	}
-	for _, cs := range clusters {
-		sweeps, err := ctx.nodeSweepAll(cs)
-		if err != nil {
-			return err
-		}
-		type metric struct {
+	for _, g := range groups {
+		for _, m := range []struct {
 			tag  string
 			name string
-			get  func(analysis.Point) float64
-		}
-		metrics := []metric{
-			{"membw", "memory bandwidth [GB/s]", func(p analysis.Point) float64 { return p.MemBW / 1e9 }},
-			{"memvol", "memory data volume [GB]", func(p analysis.Point) float64 { return p.BytesMem / 1e9 }},
-		}
-		for _, m := range metrics {
+			get  func(machine.Usage) float64
+		}{
+			{"membw", "memory bandwidth [GB/s]", func(u machine.Usage) float64 { return u.MemBandwidth() / 1e9 }},
+			{"memvol", "memory data volume [GB]", func(u machine.Usage) float64 { return u.BytesMem / 1e9 }},
+		} {
 			plot := report.NewPlot(
-				fmt.Sprintf("Fig.2 %s %s (tiny)", cs.Name, m.name), "processes", m.name)
-			var series []report.Series
-			for _, name := range bench.Names() {
-				pts := analysis.Points(sweeps[name])
-				xs := make([]float64, len(pts))
-				ys := make([]float64, len(pts))
-				for i, p := range pts {
-					xs[i] = p.Ranks
-					ys[i] = m.get(p)
-				}
-				plot.Add(name, xs, ys)
-				series = append(series, report.Series{Name: name, X: xs, Y: ys})
-			}
-			if err := plot.Write(ctx.out()); err != nil {
-				return err
-			}
-			if err := ctx.saveSeriesCSV(
-				fmt.Sprintf("fig2_%s_%s.csv", m.tag, cs.Name), "ranks", series); err != nil {
+				fmt.Sprintf("Fig.2 %s %s (tiny)", g.Cluster.Name, m.name), "processes", m.name)
+			plotRanks(plot, g, m.get)
+			if err := ctx.emitPlot(plot, fmt.Sprintf("fig2_%s_%s.csv", m.tag, g.Cluster.Name), "ranks"); err != nil {
 				return err
 			}
 		}
 	}
 	// (c, d) L3/L2 bandwidth for the codes the paper highlights.
-	a, err := paperCluster("ClusterA")
+	cacheA, err := ctx.results(sc, 1)
 	if err != nil {
 		return err
 	}
 	cachePlot := report.NewPlot("Fig.2 cache bandwidths on ClusterA (lbm, minisweep, pot3d)",
 		"processes", "GB/s")
-	sweepsA, err := ctx.nodeSweepAll(a)
-	if err != nil {
-		return err
-	}
-	var cacheSeries []report.Series
 	for _, name := range []string{"lbm", "minisweep", "pot3d"} {
-		pts := sweepsA[name]
+		pts := cacheA[0].Runs[name]
 		xs := make([]float64, len(pts))
 		l3 := make([]float64, len(pts))
 		l2 := make([]float64, len(pts))
@@ -297,32 +249,18 @@ func renderFig2(ctx *Context) error {
 		}
 		cachePlot.Add("L3-"+name, xs, l3)
 		cachePlot.Add("L2-"+name, xs, l2)
-		cacheSeries = append(cacheSeries,
-			report.Series{Name: "L3-" + name, X: xs, Y: l3},
-			report.Series{Name: "L2-" + name, X: xs, Y: l2})
 	}
-	if err := cachePlot.Write(ctx.out()); err != nil {
+	if err := ctx.emitPlot(cachePlot, "fig2_cachebw_ClusterA.csv", "ranks"); err != nil {
 		return err
 	}
-	if err := ctx.saveSeriesCSV("fig2_cachebw_ClusterA.csv", "ranks", cacheSeries); err != nil {
-		return err
-	}
-	return fig2Insets(ctx)
+	return fig2Insets(ctx, sc)
 }
 
-// fig2Insets reproduces the two process timelines: minisweep at 59
-// processes (MPI_Recv-dominated serialization) and lbm at 71 (one slow
-// straggler rank).
-func fig2Insets(ctx *Context) error {
-	a, err := paperCluster("ClusterA")
-	if err != nil {
-		return err
-	}
-	// minisweep at 59 ranks.
-	ms, err := ctx.run(spec.RunSpec{
-		Benchmark: "minisweep", Class: bench.Tiny, Cluster: a, Ranks: 59,
-		Options: bench.Options{SimSteps: 1},
-	})
+// fig2Insets reproduces the two process timelines from the scenario's
+// pinned jobs: minisweep at 59 processes (MPI_Recv-dominated
+// serialization) and lbm at 71 (one slow straggler rank).
+func fig2Insets(ctx *Context, sc *scenario.Scenario) error {
+	ms, err := ctx.job(sc, 0)
 	if err != nil {
 		return err
 	}
@@ -331,17 +269,11 @@ func fig2Insets(ctx *Context) error {
 	for _, k := range []trace.Kind{trace.KindCompute, trace.KindRecv, trace.KindSend} {
 		t.AddRow(k.String(), fmt.Sprintf("%.1f", 100*ms.Trace.GlobalFraction(k)))
 	}
-	if err := t.Write(ctx.out()); err != nil {
-		return err
-	}
-	if err := ctx.saveCSV("fig2_inset_minisweep59.csv", t); err != nil {
+	if err := ctx.emitTable(t, "fig2_inset_minisweep59.csv"); err != nil {
 		return err
 	}
 	// lbm at 71 ranks: per-rank compute time identifies the straggler.
-	lb, err := ctx.run(spec.RunSpec{
-		Benchmark: "lbm", Class: bench.Tiny, Cluster: a, Ranks: 71,
-		Options: bench.Options{SimSteps: 2},
-	})
+	lb, err := ctx.job(sc, 1)
 	if err != nil {
 		return err
 	}
@@ -353,10 +285,7 @@ func fig2Insets(ctx *Context) error {
 		fmt.Sprintf("%.2fx", stragglerRatio(lb.Trace)))
 	t2.AddRow("global MPI_Barrier share %",
 		fmt.Sprintf("%.1f", 100*lb.Trace.GlobalFraction(trace.KindBarrier)))
-	if err := t2.Write(ctx.out()); err != nil {
-		return err
-	}
-	return ctx.saveCSV("fig2_inset_lbm71.csv", t2)
+	return ctx.emitTable(t2, "fig2_inset_lbm71.csv")
 }
 
 // stragglerRatio returns the slowest rank's compute time over the median
@@ -388,17 +317,17 @@ func Fig3(ctx *Context) error { return ctx.runPlan(domainAndNodeScenario, render
 // renderFig3 renders chip/DRAM power vs speedup on one ccNUMA domain
 // (a, c) and node-level power vs processes (b, d), including the
 // zero-core baseline extrapolation.
-func renderFig3(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+func renderFig3(ctx *Context, sc *scenario.Scenario) error {
+	domain, err := ctx.results(sc, 0)
 	if err != nil {
 		return err
 	}
-	for _, cs := range clusters {
-		domPts := ctx.domainPoints(cs)
-		domSweeps, err := ctx.sweepAll(cs, bench.Tiny, domPts)
-		if err != nil {
-			return err
-		}
+	node, err := ctx.results(sc, 1)
+	if err != nil {
+		return err
+	}
+	for ci, dom := range domain {
+		cs := dom.Cluster
 		chipPlot := report.NewPlot(
 			fmt.Sprintf("Fig.3 %s chip power vs speedup (one ccNUMA domain)", cs.Name),
 			"speedup", "W")
@@ -409,11 +338,9 @@ func renderFig3(ctx *Context) error {
 			fmt.Sprintf("Fig.3 %s zero-core baseline extrapolation (paper: %s ~%.0f W)",
 				cs.Name, cs.Name, cs.CPU.BasePowerPerSocket),
 			"benchmark", "extrapolated baseline W")
-		var chipSeries, dramSeries []report.Series
-		for _, name := range bench.Names() {
-			res := domSweeps[name]
-			pts := analysis.Points(res)
-			sp := analysis.Speedup(pts)
+		for _, name := range dom.Benchmarks {
+			res := dom.Runs[name]
+			sp := analysis.Speedup(analysis.Points(res))
 			chip := make([]float64, len(res))
 			dram := make([]float64, len(res))
 			cores := make([]float64, len(res))
@@ -424,54 +351,25 @@ func renderFig3(ctx *Context) error {
 			}
 			chipPlot.Add(name, sp, chip)
 			dramPlot.Add(name, sp, dram)
-			chipSeries = append(chipSeries, report.Series{Name: name, X: sp, Y: chip})
-			dramSeries = append(dramSeries, report.Series{Name: name, X: sp, Y: dram})
 			baseTable.AddRow(name, fmt.Sprintf("%.0f",
 				analysis.BaselinePowerExtrapolation(cores, chip)))
 		}
-		if err := chipPlot.Write(ctx.out()); err != nil {
+		if err := ctx.emitPlot(chipPlot, fmt.Sprintf("fig3_chip_domain_%s.csv", cs.Name), "speedup"); err != nil {
 			return err
 		}
-		if err := dramPlot.Write(ctx.out()); err != nil {
+		if err := ctx.emitPlot(dramPlot, fmt.Sprintf("fig3_dram_domain_%s.csv", cs.Name), "speedup"); err != nil {
 			return err
 		}
-		if err := baseTable.Write(ctx.out()); err != nil {
-			return err
-		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig3_chip_domain_%s.csv", cs.Name), "speedup", chipSeries); err != nil {
-			return err
-		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig3_dram_domain_%s.csv", cs.Name), "speedup", dramSeries); err != nil {
-			return err
-		}
-		if err := ctx.saveCSV(fmt.Sprintf("fig3_baseline_%s.csv", cs.Name), baseTable); err != nil {
+		if err := ctx.emitTable(baseTable, fmt.Sprintf("fig3_baseline_%s.csv", cs.Name)); err != nil {
 			return err
 		}
 
 		// (b, d): node-level chip power vs processes.
-		sweeps, err := ctx.nodeSweepAll(cs)
-		if err != nil {
-			return err
-		}
 		nodePlot := report.NewPlot(
 			fmt.Sprintf("Fig.3 %s node chip power vs processes", cs.Name),
 			"processes", "W")
-		var nodeSeries []report.Series
-		for _, name := range bench.Names() {
-			res := sweeps[name]
-			xs := make([]float64, len(res))
-			ys := make([]float64, len(res))
-			for i, r := range res {
-				xs[i] = float64(r.Usage.Ranks)
-				ys[i] = r.Usage.ChipPower()
-			}
-			nodePlot.Add(name, xs, ys)
-			nodeSeries = append(nodeSeries, report.Series{Name: name, X: xs, Y: ys})
-		}
-		if err := nodePlot.Write(ctx.out()); err != nil {
-			return err
-		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig3_chip_node_%s.csv", cs.Name), "ranks", nodeSeries); err != nil {
+		plotRanks(nodePlot, node[ci], machine.Usage.ChipPower)
+		if err := ctx.emitPlot(nodePlot, fmt.Sprintf("fig3_chip_node_%s.csv", cs.Name), "ranks"); err != nil {
 			return err
 		}
 	}
@@ -482,27 +380,25 @@ func renderFig3(ctx *Context) error {
 func Fig4(ctx *Context) error { return ctx.runPlan(domainAndNodeScenario, renderFig4) }
 
 // renderFig4 renders the energy Z-plots (a, b) and node total energy (c).
-func renderFig4(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+func renderFig4(ctx *Context, sc *scenario.Scenario) error {
+	domain, err := ctx.results(sc, 0)
 	if err != nil {
 		return err
 	}
-	for _, cs := range clusters {
-		domPts := ctx.domainPoints(cs)
-		domSweeps, err := ctx.sweepAll(cs, bench.Tiny, domPts)
-		if err != nil {
-			return err
-		}
+	node, err := ctx.results(sc, 1)
+	if err != nil {
+		return err
+	}
+	for ci, dom := range domain {
+		cs := dom.Cluster
 		zPlot := report.NewPlot(
 			fmt.Sprintf("Fig.4 %s Z-plot: chip energy vs speedup (one domain)", cs.Name),
 			"speedup", "J")
 		minTable := report.NewTable(
 			fmt.Sprintf("Fig.4 %s: energy and EDP minima (race-to-idle check)", cs.Name),
 			"benchmark", "ranks at min E", "ranks at min EDP")
-		var zSeries []report.Series
-		for _, name := range bench.Names() {
-			res := domSweeps[name]
-			z := analysis.ZPlot(analysis.Points(res))
+		for _, name := range dom.Benchmarks {
+			z := analysis.ZPlot(analysis.Points(dom.Runs[name]))
 			xs := make([]float64, len(z))
 			ys := make([]float64, len(z))
 			for i, p := range z {
@@ -510,48 +406,23 @@ func renderFig4(ctx *Context) error {
 				ys[i] = p.Energy
 			}
 			zPlot.Add(name, xs, ys)
-			zSeries = append(zSeries, report.Series{Name: name, X: xs, Y: ys})
 			minTable.AddRow(name,
 				fmt.Sprintf("%.0f", z[analysis.MinEnergyPoint(z)].Ranks),
 				fmt.Sprintf("%.0f", z[analysis.MinEDPPoint(z)].Ranks))
 		}
-		if err := zPlot.Write(ctx.out()); err != nil {
+		if err := ctx.emitPlot(zPlot, fmt.Sprintf("fig4_zplot_%s.csv", cs.Name), "speedup"); err != nil {
 			return err
 		}
-		if err := minTable.Write(ctx.out()); err != nil {
-			return err
-		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig4_zplot_%s.csv", cs.Name), "speedup", zSeries); err != nil {
-			return err
-		}
-		if err := ctx.saveCSV(fmt.Sprintf("fig4_minima_%s.csv", cs.Name), minTable); err != nil {
+		if err := ctx.emitTable(minTable, fmt.Sprintf("fig4_minima_%s.csv", cs.Name)); err != nil {
 			return err
 		}
 
 		// (c): node total energy vs processes.
-		sweeps, err := ctx.nodeSweepAll(cs)
-		if err != nil {
-			return err
-		}
 		ePlot := report.NewPlot(
 			fmt.Sprintf("Fig.4 %s total energy vs processes (node)", cs.Name),
 			"processes", "J")
-		var eSeries []report.Series
-		for _, name := range bench.Names() {
-			res := sweeps[name]
-			xs := make([]float64, len(res))
-			ys := make([]float64, len(res))
-			for i, r := range res {
-				xs[i] = float64(r.Usage.Ranks)
-				ys[i] = r.Usage.TotalEnergy()
-			}
-			ePlot.Add(name, xs, ys)
-			eSeries = append(eSeries, report.Series{Name: name, X: xs, Y: ys})
-		}
-		if err := ePlot.Write(ctx.out()); err != nil {
-			return err
-		}
-		if err := ctx.saveSeriesCSV(fmt.Sprintf("fig4_energy_node_%s.csv", cs.Name), "ranks", eSeries); err != nil {
+		plotRanks(ePlot, node[ci], machine.Usage.TotalEnergy)
+		if err := ctx.emitPlot(ePlot, fmt.Sprintf("fig4_energy_node_%s.csv", cs.Name), "ranks"); err != nil {
 			return err
 		}
 	}

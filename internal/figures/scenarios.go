@@ -5,12 +5,14 @@ import (
 	"github.com/spechpc/spechpc-sim/internal/scenario"
 )
 
-// This file holds the declarative job plans of the built-in experiments:
-// which benchmarks run on which clusters over which rank and clock axes.
-// The renderers in node.go/multinode.go/clock.go consume exactly these
-// jobs from the warm engine memo (pinned by TestScenarioPlansCoverRenders),
-// so the experiment-description logic lives here as data while the
-// paper-faithful presentation stays bespoke Go.
+// This file declares the job plans of the built-in experiments: which
+// benchmarks run on which clusters over which rank and clock axes, plus
+// the pinned inset jobs. It is the only place a figure's jobs are
+// listed. The planner's expansion turns each plan into campaign jobs,
+// and the renderers in node.go/multinode.go/clock.go read their results
+// by sweep and pinned-job index from that same expansion, so the
+// experiment description lives here as data while the paper-faithful
+// presentation stays bespoke Go.
 //
 // Scenario funcs return nil when there is nothing to plan (for example a
 // resolution error); the renderer then reports the failure with its own
@@ -122,7 +124,7 @@ func casesScenario(ctx *Context) *scenario.Scenario {
 // domain across each cluster's DVFS ladder. Clusters without a ladder
 // are skipped here exactly as the renderer skips them.
 func figclockScenario(ctx *Context) *scenario.Scenario {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(nil)
 	if err != nil {
 		return nil // the renderer reports the resolution failure
 	}
@@ -138,7 +140,7 @@ func figclockScenario(ctx *Context) *scenario.Scenario {
 	}
 	sc := &scenario.Scenario{Name: "figclock"}
 	for _, cs := range clusters {
-		if len(ctx.clockLadder(cs)) == 0 {
+		if len(cs.CPU.DVFS.Ladder()) == 0 {
 			continue
 		}
 		sc.Sweeps = append(sc.Sweeps, scenario.Sweep{

@@ -1,15 +1,16 @@
 package figures
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 // TestScenarioPlansCoverRenders pins the planner contract of every
-// built-in experiment: after warming the experiment's declarative
-// scenario, its renderer runs entirely from the engine memo — zero fresh
-// simulations. A failure means the scenario definition in scenarios.go
-// and the renderer have drifted apart. One context is shared across
+// built-in experiment: once the experiment's enqueued scenario has
+// finished, its renderer runs entirely from the engine memo — zero
+// fresh simulations. A failure means a renderer requested a job outside
+// its scenario's expansion. One context is shared across
 // experiments (exactly like a cmd/figures run), so overlapping plans pay
 // for each unique job once.
 func TestScenarioPlansCoverRenders(t *testing.T) {
@@ -29,8 +30,12 @@ func TestScenarioPlansCoverRenders(t *testing.T) {
 		if len(jobs) == 0 {
 			t.Fatalf("%s: scenario plan expands to no jobs", e.ID)
 		}
-		if err := ctx.planner().Warm(sc); err != nil {
+		tickets, err := ctx.planner().Enqueue(context.Background(), sc)
+		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
+		}
+		for _, tk := range tickets {
+			tk.Wait(context.Background())
 		}
 		warmed := ctx.Engine.Stats()
 		if err := e.Run(ctx); err != nil {
@@ -44,40 +49,6 @@ func TestScenarioPlansCoverRenders(t *testing.T) {
 	}
 	if ctx.Engine.Stats().Misses == 0 {
 		t.Fatal("no experiment simulated anything")
-	}
-}
-
-// TestWarmRenderOutputIdentical checks routing an experiment through the
-// scenario planner changes nothing about its artifact: rendering straight
-// from a cold engine and running warm-then-render produce byte-identical
-// output. A single-cluster context keeps the double rendering cheap;
-// figclock covers the clock axis and fig2 the pinned inset jobs.
-func TestWarmRenderOutputIdentical(t *testing.T) {
-	cases := []struct {
-		id     string
-		render func(*Context) error
-		full   func(*Context) error
-	}{
-		{"fig2", renderFig2, Fig2}, // includes the pinned inset jobs
-		{"figclock", renderFigEnergyClock, FigEnergyClock},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.id, func(t *testing.T) {
-			direct, directOut, _ := quickCtx(t)
-			direct.Clusters = []string{"ClusterA"}
-			if err := c.render(direct); err != nil {
-				t.Fatal(err)
-			}
-			planned, plannedOut, _ := quickCtx(t)
-			planned.Clusters = []string{"ClusterA"}
-			if err := c.full(planned); err != nil {
-				t.Fatal(err)
-			}
-			if directOut.String() != plannedOut.String() {
-				t.Errorf("scenario-planned output differs from direct rendering")
-			}
-		})
 	}
 }
 

@@ -33,10 +33,7 @@ func Table1(ctx *Context) error {
 		t.AddRow(fmt.Sprintf("%02d", b.ID), b.Name, b.Language,
 			fmt.Sprintf("%d", b.LOC), b.Collective, in[0], in[1])
 	}
-	if err := t.Write(ctx.out()); err != nil {
-		return err
-	}
-	return ctx.saveCSV("table1.csv", t)
+	return ctx.emitTable(t, "table1.csv")
 }
 
 // Table2 reproduces the numerics/domain table.
@@ -46,16 +43,13 @@ func Table2(ctx *Context) error {
 	for _, b := range bench.All() {
 		t.AddRow(b.Name, b.Numerics, b.Domain)
 	}
-	if err := t.Write(ctx.out()); err != nil {
-		return err
-	}
-	return ctx.saveCSV("table2.csv", t)
+	return ctx.emitTable(t, "table2.csv")
 }
 
 // Table3 reproduces the hardware/software attribute table from the
 // registered machine presets of the context.
 func Table3(ctx *Context) error {
-	clusters, err := ctx.clusterSpecs()
+	clusters, err := ctx.planner().Clusters(nil)
 	if err != nil {
 		return err
 	}
@@ -107,8 +101,5 @@ func Table3(ctx *Context) error {
 	})
 	row("Interconnect", func(c *machine.ClusterSpec) string { return "HDR100 InfiniBand fat-tree" })
 	row("Nodes used", func(c *machine.ClusterSpec) string { return fmt.Sprintf("%d", c.MaxNodes) })
-	if err := t.Write(ctx.out()); err != nil {
-		return err
-	}
-	return ctx.saveCSV("table3.csv", t)
+	return ctx.emitTable(t, "table3.csv")
 }

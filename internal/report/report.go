@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 )
 
@@ -272,4 +274,31 @@ func SeriesCSV(w io.Writer, xName string, series []Series) error {
 		}
 	}
 	return nil
+}
+
+// SaveCSV writes a table as CSV to dir/name, creating dir; an empty dir
+// writes nothing (the no-artifacts setting of every renderer).
+func SaveCSV(dir, name string, t *Table) error {
+	return saveFile(dir, name, t.WriteCSV)
+}
+
+// SaveSeriesCSV writes plot series as CSV to dir/name (see SeriesCSV);
+// an empty dir writes nothing.
+func SaveSeriesCSV(dir, name, xName string, series []Series) error {
+	return saveFile(dir, name, func(w io.Writer) error { return SeriesCSV(w, xName, series) })
+}
+
+func saveFile(dir, name string, write func(io.Writer) error) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return write(f)
 }

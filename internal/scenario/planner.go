@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
 	"github.com/spechpc/spechpc-sim/internal/campaign"
@@ -90,10 +88,12 @@ func benchNames(names []string) []string {
 
 // ExpandParts flattens a scenario into one campaign batch per sweep
 // plus the pinned single jobs, each in deterministic order
-// (cluster-major, then benchmark, rank, clock). The concatenation of
-// the parts is exactly the set of simulations the scenario's renderer
-// will ask the engine for; keeping the parts separate lets callers — the
-// HTTP service above all — track and stream per-sweep completion.
+// (cluster-major, then benchmark, rank, clock). It is the only code that
+// turns a scenario into jobs: both renderers read their results from it
+// through SweepResults and JobResult, so the concatenation of the parts
+// is exactly the set of simulations rendering asks the engine for.
+// Keeping the parts separate lets callers — the HTTP service above all —
+// track and stream per-sweep completion.
 func (p *Planner) ExpandParts(sc *Scenario) ([][]spec.RunSpec, []spec.RunSpec, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, nil, err
@@ -204,21 +204,6 @@ func (p *Planner) Enqueue(ctx context.Context, sc *Scenario) ([]*campaign.Ticket
 	return tickets, nil
 }
 
-// Warm expands a scenario and executes its whole batch on the engine in
-// one parallel campaign, so every later engine request — from a bespoke
-// figure renderer or the generic one — is a memo hit. The blocking
-// counterpart of Enqueue.
-func (p *Planner) Warm(sc *Scenario) error {
-	tickets, err := p.Enqueue(context.Background(), sc)
-	if err != nil {
-		return err
-	}
-	for _, t := range tickets {
-		t.Wait(context.Background())
-	}
-	return nil
-}
-
 // Execute runs a scenario end to end with the generic renderer: submit
 // the full batch to the scheduler up front, then draw each sweep's
 // metric series as ASCII plots (plus CSV artifacts under outDir, unless
@@ -286,85 +271,116 @@ func sweepMetrics(sw *Sweep) ([]Metric, error) {
 	return out, nil
 }
 
+// ClusterResults is one cluster's share of an expanded sweep.
+type ClusterResults struct {
+	Cluster *machine.ClusterSpec
+	// Benchmarks lists the sweep's kernels in expansion order.
+	Benchmarks []string
+	// Runs maps each benchmark to its results in expansion order (rank,
+	// then clock).
+	Runs map[string][]spec.RunResult
+}
+
+// SweepResults runs sweep si of the scenario's expansion through the
+// engine — joining the tickets Enqueue already submitted, simulating on
+// demand otherwise — and groups the results by cluster, then benchmark,
+// in expansion order. Engine requests ride ctx, so an abandoned
+// scenario's renderer can never pin (or resurrect) jobs its
+// cancellation released.
+func (p *Planner) SweepResults(ctx context.Context, sc *Scenario, si int) ([]ClusterResults, error) {
+	sweeps, _, err := p.ExpandParts(sc)
+	if err != nil {
+		return nil, err
+	}
+	if si < 0 || si >= len(sweeps) {
+		return nil, fmt.Errorf("scenario %s: no sweep %d", sc.Name, si+1)
+	}
+	jobs := sweeps[si]
+	results, err := campaign.Results(p.engineFor(sc).RunCtx(ctx, jobs))
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: sweep %d: %w", sc.Name, si+1, err)
+	}
+	// Each cluster's jobs are one contiguous run (the resolver returns a
+	// fresh spec per named cluster) holding an equal-length block per
+	// benchmark.
+	names := benchNames(sc.Sweeps[si].Benchmarks)
+	var out []ClusterResults
+	for start := 0; start < len(jobs); {
+		end := start
+		for end < len(jobs) && jobs[end].Cluster == jobs[start].Cluster {
+			end++
+		}
+		g := ClusterResults{
+			Cluster:    jobs[start].Cluster,
+			Benchmarks: names,
+			Runs:       make(map[string][]spec.RunResult, len(names)),
+		}
+		block := (end - start) / len(names)
+		for i, name := range names {
+			g.Runs[name] = results[start+i*block : start+(i+1)*block]
+		}
+		out = append(out, g)
+		start = end
+	}
+	return out, nil
+}
+
+// JobResult runs pinned job i of the scenario's expansion through the
+// engine, joining its ticket when Enqueue already submitted it.
+func (p *Planner) JobResult(ctx context.Context, sc *Scenario, i int) (spec.RunResult, error) {
+	_, pinned, err := p.ExpandParts(sc)
+	if err != nil {
+		return spec.RunResult{}, err
+	}
+	if i < 0 || i >= len(pinned) {
+		return spec.RunResult{}, fmt.Errorf("scenario %s: no job %d", sc.Name, i+1)
+	}
+	out := p.engineFor(sc).RunCtx(ctx, pinned[i:i+1])[0]
+	if out.Err != nil {
+		return spec.RunResult{}, fmt.Errorf("scenario %s: job %d: %w", sc.Name, i+1, out.Err)
+	}
+	return out.Result, nil
+}
+
 // renderSweep draws one sweep: per cluster and metric, one plot with a
 // series per benchmark over the rank axis (or the clock axis for
-// frequency sweeps), each saved as CSV. Engine requests ride ctx, so an
-// abandoned scenario's renderer can never pin (or resurrect) jobs its
-// cancellation released.
+// frequency sweeps), each saved as CSV.
 func (p *Planner) renderSweep(ctx context.Context, sc *Scenario, si int, w io.Writer, outDir string) error {
 	sw := &sc.Sweeps[si]
 	metrics, err := sweepMetrics(sw)
 	if err != nil {
 		return err
 	}
-	clusters, err := p.Clusters(sw.Clusters)
+	groups, err := p.SweepResults(ctx, sc, si)
 	if err != nil {
 		return err
 	}
-	for _, cs := range clusters {
-		points, err := RankPoints(cs, sw.Points, p.Quick)
-		if err != nil {
-			return err
-		}
-		clocks := ClockPoints(cs, sw.Clocks, p.Quick)
-		names := benchNames(sw.Benchmarks)
-
-		// Collect the result matrix through the (warm) engine.
-		results := make(map[string][]spec.RunResult, len(names))
-		for _, name := range names {
-			base := spec.RunSpec{
-				Benchmark: name,
-				Class:     sw.Class,
-				Cluster:   cs,
-				Options: bench.Options{
-					SimSteps: p.SimSteps(sw.SimSteps),
-					ScaleDiv: sw.ScaleDiv,
-				},
-			}
-			if sw.Net != nil {
-				base.Net = *sw.Net
-			}
-			jobs := base.AtRanks(points)
-			if len(clocks) > 0 {
-				base.Ranks = points[0]
-				jobs = base.AtClocks(clocks)
-			}
-			res, err := campaign.Results(p.engineFor(sc).RunCtx(ctx, jobs))
-			if err != nil {
-				return fmt.Errorf("scenario %s: sweep %d: %s on %s: %w",
-					sc.Name, si+1, name, cs.Name, err)
-			}
-			results[name] = res
-		}
-
-		xName, xLabel := "ranks", "processes"
-		if len(clocks) > 0 {
-			xName, xLabel = "clock_ghz", "core clock [GHz]"
-		}
+	xName, xLabel := "ranks", "processes"
+	if sw.Clocks.Active() {
+		xName, xLabel = "clock_ghz", "core clock [GHz]"
+	}
+	for _, g := range groups {
 		for _, m := range metrics {
 			plot := report.NewPlot(
-				fmt.Sprintf("%s: %s %s (%s)", sc.Name, cs.Name, m.Label, sw.Class),
+				fmt.Sprintf("%s: %s %s (%s)", sc.Name, g.Cluster.Name, m.Label, sw.Class),
 				xLabel, m.Label)
-			var series []report.Series
-			for _, name := range names {
-				res := results[name]
+			for _, name := range g.Benchmarks {
+				res := g.Runs[name]
 				xs := make([]float64, len(res))
 				for i, r := range res {
-					if len(clocks) > 0 {
+					if sw.Clocks.Active() {
 						xs[i] = r.Spec.ClockHz / 1e9 // ladder-snapped
 					} else {
 						xs[i] = float64(r.Usage.Ranks)
 					}
 				}
-				ys := metricValues(m, res)
-				plot.Add(name, xs, ys)
-				series = append(series, report.Series{Name: name, X: xs, Y: ys})
+				plot.Add(name, xs, metricValues(m, res))
 			}
 			if err := plot.Write(w); err != nil {
 				return err
 			}
-			csv := fmt.Sprintf("%s_s%d_%s_%s.csv", sc.Name, si+1, m.Name, cs.Name)
-			if err := saveSeriesCSV(outDir, csv, xName, series); err != nil {
+			csv := fmt.Sprintf("%s_s%d_%s_%s.csv", sc.Name, si+1, m.Name, g.Cluster.Name)
+			if err := report.SaveSeriesCSV(outDir, csv, xName, plot.Series); err != nil {
 				return err
 			}
 		}
@@ -380,26 +396,12 @@ func (p *Planner) renderJobs(ctx context.Context, sc *Scenario, w io.Writer, out
 		"chip power", "energy", "MPI %")
 	for i := range sc.Jobs {
 		j := &sc.Jobs[i]
-		cs, err := machine.Get(j.Cluster)
+		res, err := p.JobResult(ctx, sc, i)
 		if err != nil {
 			return err
 		}
-		outs := p.engineFor(sc).RunCtx(ctx, []spec.RunSpec{{
-			Benchmark: j.Benchmark,
-			Class:     j.Class,
-			Cluster:   cs,
-			Ranks:     j.Ranks,
-			ClockHz:   j.ClockGHz * 1e9,
-			Options: bench.Options{
-				SimSteps: p.SimSteps(j.SimSteps),
-				ScaleDiv: j.ScaleDiv,
-			},
-		}})
-		if outs[0].Err != nil {
-			return fmt.Errorf("scenario %s: job %d: %w", sc.Name, i+1, outs[0].Err)
-		}
-		u := outs[0].Result.Usage
-		t.AddRow(j.Benchmark, j.Class.String(), cs.Name,
+		u := res.Usage
+		t.AddRow(j.Benchmark, j.Class.String(), res.Spec.Cluster.Name,
 			fmt.Sprintf("%d", u.Ranks),
 			units.Seconds(u.Wall),
 			units.FlopRate(u.PerfFlops()),
@@ -411,37 +413,5 @@ func (p *Planner) renderJobs(ctx context.Context, sc *Scenario, w io.Writer, out
 	if err := t.Write(w); err != nil {
 		return err
 	}
-	return saveCSV(outDir, sc.Name+"_jobs.csv", t)
-}
-
-// saveCSV writes a table as CSV into dir ("" = no artifacts).
-func saveCSV(dir, name string, t *report.Table) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return t.WriteCSV(f)
-}
-
-// saveSeriesCSV writes plot series as CSV into dir ("" = no artifacts).
-func saveSeriesCSV(dir, name, xName string, series []report.Series) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return report.SeriesCSV(f, xName, series)
+	return report.SaveCSV(outDir, sc.Name+"_jobs.csv", t)
 }

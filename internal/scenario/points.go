@@ -7,16 +7,17 @@ import (
 	"github.com/spechpc/spechpc-sim/internal/spec"
 )
 
-// The quick-mode point reductions below are the single source of truth
-// for both file scenarios and the built-in figures (internal/figures
-// delegates here), so the two paths cannot drift apart: a job plan
-// expanded from a scenario is exactly the set of jobs the corresponding
-// renderer asks the engine for.
+// The axis resolvers below turn a sweep's declarative rank and clock
+// axes into concrete points, including the quick-mode reductions.
+// ExpandParts is their only caller, and both renderers — the generic one
+// in this package and the built-in figures in internal/figures — read
+// their results from that one expansion, so a plan and its artifact
+// cannot disagree about the points.
 
-// NodePoints returns the node-level rank ladder of a cluster. Quick mode
+// nodePoints returns the node-level rank ladder of a cluster. Quick mode
 // trades resolution for speed: seeds plus half/full domain, two domains,
 // one socket, and the full node.
-func NodePoints(cs *machine.ClusterSpec, quick bool) []int {
+func nodePoints(cs *machine.ClusterSpec, quick bool) []int {
 	if !quick {
 		return spec.NodePoints(cs)
 	}
@@ -26,9 +27,9 @@ func NodePoints(cs *machine.ClusterSpec, quick bool) []int {
 	return dedupSorted([]int{1, 2, 4, cpd / 2, cpd, 2 * cpd, cps, cpn})
 }
 
-// DomainPoints returns the within-domain rank ladder (1..cores per
+// domainPoints returns the within-domain rank ladder (1..cores per
 // domain); quick mode keeps seeds, half, and the full domain.
-func DomainPoints(cs *machine.ClusterSpec, quick bool) []int {
+func domainPoints(cs *machine.ClusterSpec, quick bool) []int {
 	if !quick {
 		return spec.DomainPoints(cs)
 	}
@@ -36,9 +37,9 @@ func DomainPoints(cs *machine.ClusterSpec, quick bool) []int {
 	return dedupSorted([]int{1, 2, 4, cpd / 2, cpd})
 }
 
-// MultiNodePoints returns the multi-node rank ladder (full nodes); quick
+// multiNodePoints returns the multi-node rank ladder (full nodes); quick
 // mode keeps 1, 2, and 4 nodes.
-func MultiNodePoints(cs *machine.ClusterSpec, quick bool) []int {
+func multiNodePoints(cs *machine.ClusterSpec, quick bool) []int {
 	if !quick {
 		return spec.MultiNodePoints(cs)
 	}
@@ -46,10 +47,10 @@ func MultiNodePoints(cs *machine.ClusterSpec, quick bool) []int {
 	return []int{cpn, 2 * cpn, 4 * cpn}
 }
 
-// ClockLadder returns a cluster's DVFS frequency axis; quick mode keeps
+// clockLadder returns a cluster's DVFS frequency axis; quick mode keeps
 // the endpoints and the midpoint. An empty result means the cluster has
 // no DVFS model.
-func ClockLadder(cs *machine.ClusterSpec, quick bool) []float64 {
+func clockLadder(cs *machine.ClusterSpec, quick bool) []float64 {
 	ladder := cs.CPU.DVFS.Ladder()
 	if quick && len(ladder) > 3 {
 		return []float64{ladder[0], ladder[len(ladder)/2], ladder[len(ladder)-1]}
@@ -61,11 +62,11 @@ func ClockLadder(cs *machine.ClusterSpec, quick bool) []float64 {
 func RankPoints(cs *machine.ClusterSpec, p Points, quick bool) ([]int, error) {
 	switch p.Kind {
 	case PointsNode:
-		return NodePoints(cs, quick), nil
+		return nodePoints(cs, quick), nil
 	case PointsDomain:
-		return DomainPoints(cs, quick), nil
+		return domainPoints(cs, quick), nil
 	case PointsMultiNode:
-		return MultiNodePoints(cs, quick), nil
+		return multiNodePoints(cs, quick), nil
 	case PointsOneDomain:
 		return []int{cs.CPU.CoresPerDomain()}, nil
 	case PointsList:
@@ -82,7 +83,7 @@ func RankPoints(cs *machine.ClusterSpec, p Points, quick bool) ([]int, error) {
 func ClockPoints(cs *machine.ClusterSpec, c Clocks, quick bool) []float64 {
 	switch {
 	case c.Ladder:
-		if ladder := ClockLadder(cs, quick); len(ladder) > 0 {
+		if ladder := clockLadder(cs, quick); len(ladder) > 0 {
 			return ladder
 		}
 		return []float64{cs.CPU.BaseClockHz}

@@ -6,9 +6,12 @@
 //
 // Scenarios come from two places. The built-in figures of the paper
 // (internal/figures) define their job plans as Scenario values and keep
-// bespoke renderers; user studies are loaded from scenario files (see
+// bespoke presentation; user studies are loaded from scenario files (see
 // Load) and rendered generically, so new studies — different kernels,
 // rank ladders, clock sweeps, even modified interconnects — need no Go.
+// Either way Planner.ExpandParts is the only code that turns a scenario
+// into jobs, and both renderers read their results from that expansion
+// (Planner.SweepResults and Planner.JobResult).
 //
 // Every simulation a scenario requests flows through one
 // campaign.Engine, so jobs parallelize across host cores, duplicate jobs

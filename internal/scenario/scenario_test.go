@@ -248,16 +248,21 @@ func TestExecuteGenericRenderer(t *testing.T) {
 	}
 }
 
-// TestWarmCoversRender pins the core planner contract: after Warm, the
-// renderer's engine requests are served entirely from the memo.
+// TestWarmCoversRender pins the core planner contract: once the
+// enqueued expansion has finished, the renderer's engine requests are
+// served entirely from the memo.
 func TestWarmCoversRender(t *testing.T) {
 	sc, err := LoadFile(writeScenario(t, sampleDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := &Planner{Engine: campaign.New(4)}
-	if err := p.Warm(sc); err != nil {
+	tickets, err := p.Enqueue(context.Background(), sc)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, tk := range tickets {
+		tk.Wait(context.Background())
 	}
 	st := p.Engine.Stats()
 	for si := range sc.Sweeps {
@@ -269,6 +274,6 @@ func TestWarmCoversRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := p.Engine.Stats(); got.Misses != st.Misses {
-		t.Errorf("render simulated %d jobs Warm did not plan", got.Misses-st.Misses)
+		t.Errorf("render simulated %d jobs the expansion did not plan", got.Misses-st.Misses)
 	}
 }
