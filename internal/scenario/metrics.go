@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"github.com/spechpc/spechpc-sim/internal/analysis"
 	"github.com/spechpc/spechpc-sim/internal/spec"
 )
 
@@ -82,19 +83,10 @@ func MetricNames() []string {
 
 // metricValues derives a metric series from sweep results.
 func metricValues(m Metric, results []spec.RunResult) []float64 {
-	out := make([]float64, len(results))
 	if m.Relative {
-		if len(results) == 0 {
-			return out
-		}
-		base := results[0].Usage.Wall
-		for i, r := range results {
-			if r.Usage.Wall > 0 {
-				out[i] = base / r.Usage.Wall
-			}
-		}
-		return out
+		return analysis.Speedup(analysis.Points(results))
 	}
+	out := make([]float64, len(results))
 	for i, r := range results {
 		out[i] = m.Get(r)
 	}
