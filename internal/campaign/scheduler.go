@@ -680,25 +680,24 @@ func (t *Ticket) Outcome() (Outcome, bool) {
 // Wait blocks until the job resolves or ctx is cancelled and returns the
 // outcome. A ctx cancellation abandons this submission's interest — a
 // queued job with no other interested submissions is dropped — and
-// surfaces ctx's error as the outcome's Err.
+// surfaces ctx's error as the outcome's Err, even when the submit
+// context's watcher dropped the job first.
 func (t *Ticket) Wait(ctx context.Context) Outcome {
 	select {
 	case <-t.j.done:
-		return Outcome{Job: t.rs, Result: t.j.res, Err: t.j.err}
 	case <-ctx.Done():
 		t.Cancel()
-		// The job may have resolved while we raced its cancellation;
-		// prefer the real outcome when it exists.
-		select {
-		case <-t.j.done:
-			if t.j.state == Cancelled {
-				return Outcome{Job: t.rs, Err: ctx.Err()}
-			}
-			return Outcome{Job: t.rs, Result: t.j.res, Err: t.j.err}
-		default:
-			return Outcome{Job: t.rs, Err: ctx.Err()}
-		}
 	}
+	// The job may have resolved while we raced its cancellation; prefer
+	// the real outcome when it exists.
+	select {
+	case <-t.j.done:
+		if t.j.state != Cancelled || ctx.Err() == nil {
+			return Outcome{Job: t.rs, Result: t.j.res, Err: t.j.err}
+		}
+	default:
+	}
+	return Outcome{Job: t.rs, Err: ctx.Err()}
 }
 
 // Cancel releases this submission's interest in the job. When the last

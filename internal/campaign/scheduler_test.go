@@ -165,6 +165,61 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestRunCancelledBatch cancels a batch while its first job runs on the
+// only worker and the rest wait in the queue: the batch returns at once
+// with ctx's error for every job, in input order, and the queued jobs
+// drop from the queue without simulating. The running job still
+// completes and memoizes.
+func TestRunCancelledBatch(t *testing.T) {
+	schedGate = make(chan struct{})
+	schedStarted.Store(0)
+	s := NewScheduler(1, nil)
+	defer s.Close()
+	e := NewWithScheduler(s)
+
+	jobs := []spec.RunSpec{blockJob(1), blockJob(2), blockJob(3)}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan []Outcome)
+	go func() { done <- e.RunCtx(ctx, jobs) }()
+	waitStarted(t, 1)
+	deadline := time.Now().Add(10 * time.Second)
+	for s.QueueDepth() != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth = %d, want 2 behind the pinned worker", s.QueueDepth())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	outs := <-done // returns while the gate still holds the running job
+
+	for i, o := range outs {
+		if !reflect.DeepEqual(o.Job, jobs[i]) {
+			t.Errorf("outcome %d is for job %+v, want %+v", i, o.Job.Options, jobs[i].Options)
+		}
+		if !errors.Is(o.Err, context.Canceled) {
+			t.Errorf("outcome %d err = %v, want context.Canceled", i, o.Err)
+		}
+	}
+	if d := s.QueueDepth(); d != 0 {
+		t.Errorf("queue depth after cancel = %d, want 0", d)
+	}
+	if st := s.Stats(); st.Cancelled != 2 {
+		t.Errorf("stats = %+v, want Cancelled:2", st)
+	}
+
+	close(schedGate)
+	out := s.Submit(context.Background(), blockJob(1)).Wait(context.Background())
+	if out.Err != nil {
+		t.Fatalf("running job failed: %v", out.Err)
+	}
+	if got := schedStarted.Load(); got != 1 {
+		t.Errorf("%d simulations ran, want only the job that was running", got)
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("stats = %+v, want Misses:1 Hits:1 (the running job memoized)", st)
+	}
+}
+
 // TestCancelOneOfTwoWaiters cancels one of two coalesced submissions of
 // a queued job: the job must survive and deliver to the remaining
 // waiter.
