@@ -66,13 +66,13 @@ func main() {
 		return
 	}
 
-	engine, err := campaign.NewWithCacheDir(*parallel, *cacheDir)
+	sched, err := campaign.NewWithCacheDir(*parallel, *cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		stop()
 		os.Exit(1)
 	}
-	engine.Scheduler().SetSimWorkers(*simWorkers)
+	sched.SetSimWorkers(*simWorkers)
 
 	var clusterList []string
 	if *clusters != "" {
@@ -90,7 +90,7 @@ func main() {
 			stop()
 			os.Exit(1)
 		}
-		p := &scenario.Planner{Engine: engine, Quick: *quick, DefaultClusters: clusterList}
+		p := &scenario.Planner{Scheduler: sched, Quick: *quick, DefaultClusters: clusterList}
 		start := time.Now()
 		title := sc.Title
 		if title == "" {
@@ -103,7 +103,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("=== scenario %s done in %.1fs\n", sc.Name, time.Since(start).Seconds())
-		reportStats(engine, *cacheDir)
+		reportStats(sched, *cacheDir)
 		return
 	}
 
@@ -114,7 +114,7 @@ func main() {
 		}
 	}
 
-	ctx := &figures.Context{OutDir: *out, Quick: *quick, Engine: engine, Clusters: clusterList, W: os.Stdout}
+	ctx := &figures.Context{OutDir: *out, Quick: *quick, Scheduler: sched, Clusters: clusterList, W: os.Stdout}
 	for _, e := range all {
 		if len(want) > 0 && !want[e.ID] {
 			continue
@@ -128,15 +128,15 @@ func main() {
 		}
 		fmt.Printf("=== %s done in %.1fs\n\n", e.ID, time.Since(start).Seconds())
 	}
-	reportStats(engine, *cacheDir)
+	reportStats(sched, *cacheDir)
 }
 
 // reportStats prints the campaign cache counters to stderr when a
 // persistent store is in play; CI's warm-cache job asserts fresh-sims=0
 // on a second pass over the same store.
-func reportStats(engine *campaign.Engine, cacheDir string) {
+func reportStats(sched *campaign.Scheduler, cacheDir string) {
 	if cacheDir == "" {
 		return
 	}
-	fmt.Fprintln(os.Stderr, engine.Stats())
+	fmt.Fprintln(os.Stderr, sched.Stats())
 }

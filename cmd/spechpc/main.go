@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -106,12 +107,12 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		engine := newEngine(*parallel, *cacheDir, *simWorkers)
-		p := &scenario.Planner{Engine: engine}
+		sched := newScheduler(*parallel, *cacheDir, *simWorkers)
+		p := &scenario.Planner{Scheduler: sched}
 		if err := p.Execute(sc, os.Stdout, *outDir); err != nil {
 			fatal(err)
 		}
-		reportStats(engine, *cacheDir, *verbose)
+		reportStats(sched, *cacheDir, *verbose)
 		return
 	}
 	if *name == "" {
@@ -134,8 +135,8 @@ func main() {
 		fatal(err)
 	}
 
-	engine := newEngine(*parallel, *cacheDir, *simWorkers)
-	defer reportStats(engine, *cacheDir, *verbose)
+	sched := newScheduler(*parallel, *cacheDir, *simWorkers)
+	defer reportStats(sched, *cacheDir, *verbose)
 	base := spec.RunSpec{
 		Benchmark: *name,
 		Class:     class,
@@ -159,7 +160,7 @@ func main() {
 		if *doTrace {
 			fmt.Fprintln(os.Stderr, "spechpc: -trace applies to single runs only; ignored for sweeps")
 		}
-		if err := runClockSweep(engine, base, clocks); err != nil {
+		if err := runClockSweep(sched, base, clocks); err != nil {
 			fatal(err)
 		}
 		return
@@ -168,14 +169,14 @@ func main() {
 		if *doTrace {
 			fmt.Fprintln(os.Stderr, "spechpc: -trace applies to single runs only; ignored for sweeps")
 		}
-		if err := runSweep(engine, base, points); err != nil {
+		if err := runSweep(sched, base, points); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
 	base.Ranks = points[0]
-	outs := engine.Run([]spec.RunSpec{base})
+	outs := sched.Run(context.Background(), []spec.RunSpec{base}, campaign.Exact)
 	if outs[0].Err != nil {
 		fatal(outs[0].Err)
 	}
@@ -280,8 +281,8 @@ func parseClocks(s string, cluster *machine.ClusterSpec) ([]float64, error) {
 
 // runClockSweep executes a frequency sweep on the campaign pool and
 // prints one summary row per clock point.
-func runClockSweep(engine *campaign.Engine, base spec.RunSpec, clocks []float64) error {
-	results, err := campaign.Results(engine.Run(base.AtClocks(clocks)))
+func runClockSweep(sched *campaign.Scheduler, base spec.RunSpec, clocks []float64) error {
+	results, err := campaign.Results(sched.Run(context.Background(), base.AtClocks(clocks), campaign.Exact))
 	if err != nil {
 		return err
 	}
@@ -305,8 +306,8 @@ func runClockSweep(engine *campaign.Engine, base spec.RunSpec, clocks []float64)
 
 // runSweep executes a rank sweep on the campaign pool and prints one
 // summary row per point.
-func runSweep(engine *campaign.Engine, base spec.RunSpec, points []int) error {
-	results, err := campaign.Results(engine.Run(base.AtRanks(points)))
+func runSweep(sched *campaign.Scheduler, base spec.RunSpec, points []int) error {
+	results, err := campaign.Results(sched.Run(context.Background(), base.AtRanks(points), campaign.Exact))
 	if err != nil {
 		return err
 	}
@@ -329,23 +330,24 @@ func runSweep(engine *campaign.Engine, base spec.RunSpec, points []int) error {
 	return t.Write(os.Stdout)
 }
 
-// newEngine builds the campaign engine, attaching the persistent store
-// when -cache-dir is set and applying the -sim-workers grant policy.
-func newEngine(workers int, cacheDir string, simWorkers int) *campaign.Engine {
-	engine, err := campaign.NewWithCacheDir(workers, cacheDir)
+// newScheduler builds the campaign scheduler, attaching the persistent
+// store when -cache-dir is set and applying the -sim-workers grant
+// policy.
+func newScheduler(workers int, cacheDir string, simWorkers int) *campaign.Scheduler {
+	sched, err := campaign.NewWithCacheDir(workers, cacheDir)
 	if err != nil {
 		fatal(err)
 	}
-	engine.Scheduler().SetSimWorkers(simWorkers)
-	return engine
+	sched.SetSimWorkers(simWorkers)
+	return sched
 }
 
 // reportStats prints the campaign cache counters to stderr when a
 // persistent store is in play, and — under -v — the parallel engine's
 // window accounting.
-func reportStats(engine *campaign.Engine, cacheDir string, verbose bool) {
+func reportStats(sched *campaign.Scheduler, cacheDir string, verbose bool) {
 	if cacheDir != "" {
-		fmt.Fprintln(os.Stderr, engine.Stats())
+		fmt.Fprintln(os.Stderr, sched.Stats())
 	}
 	if !verbose {
 		return

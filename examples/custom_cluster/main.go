@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -42,7 +43,7 @@ func main() {
 	machine.Register("ClusterC", hypotheticalClusterC)
 
 	// Build the full campaign (3 clusters x 2 kernels) as one batch; the
-	// engine runs the jobs in parallel across host cores.
+	// scheduler runs the jobs in parallel across host cores.
 	clusters := machine.All()
 	kernels := []string{"pot3d", "sph-exa"}
 	var jobs []spec.RunSpec
@@ -54,7 +55,7 @@ func main() {
 			})
 		}
 	}
-	outs := campaign.New(0).Run(jobs)
+	outs := campaign.NewScheduler(0, nil).Run(context.Background(), jobs, campaign.Exact)
 
 	t := report.NewTable(
 		"Full-node wall time and energy: memory-bound (pot3d) vs compute-bound (sph-exa)",

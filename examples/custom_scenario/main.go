@@ -28,13 +28,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	p := &scenario.Planner{Engine: campaign.NewWithStore(0, store)}
+	p := &scenario.Planner{Scheduler: campaign.NewScheduler(0, store)}
 
 	fmt.Printf("scenario %s: %s\n\n", sc.Name, sc.Title)
 	if err := p.Execute(sc, os.Stdout, ""); err != nil {
 		fail(err)
 	}
-	st := p.Engine.Stats()
+	st := p.Scheduler.Stats()
 	fmt.Printf("campaign: %d jobs, %d simulated fresh, %d from the store at %s\n",
 		st.Jobs, st.Misses, st.StoreHits, cacheDir)
 }

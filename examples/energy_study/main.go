@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -20,7 +21,7 @@ import (
 )
 
 func main() {
-	engine := campaign.New(0)
+	sched := campaign.NewScheduler(0, nil)
 	// machine.All returns every registered cluster — the paper's two
 	// systems here, plus anything added via machine.Register.
 	for _, cluster := range machine.All() {
@@ -31,9 +32,9 @@ func main() {
 		// Sweep pot3d (memory-bound) over one ccNUMA domain and build
 		// the paper's Z-plot: energy vs speedup.
 		points := spec.DomainPoints(cluster)
-		results, err := campaign.Results(engine.Run(spec.RunSpec{
+		results, err := campaign.Results(sched.Run(context.Background(), spec.RunSpec{
 			Benchmark: "pot3d", Class: bench.Tiny, Cluster: cluster,
-		}.AtRanks(points)))
+		}.AtRanks(points), campaign.Exact))
 		if err != nil {
 			log.Fatal(err)
 		}

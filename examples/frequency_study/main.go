@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -24,11 +25,11 @@ import (
 
 func main() {
 	a := machine.MustGet("ClusterA")
-	engine := campaign.New(0)
+	sched := campaign.NewScheduler(0, nil)
 
 	// One ccNUMA domain, full DVFS ladder (800 MHz .. 2.4 GHz on the Ice
 	// Lake system), one memory-bound and one compute-bound kernel. The
-	// engine fans the clock points across host cores.
+	// scheduler fans the clock points across host cores.
 	ranks := a.CPU.CoresPerDomain()
 	fmt.Printf("%s DVFS ladder: %s .. %s in %s steps, %d ranks (one domain)\n\n",
 		a.Name,
@@ -38,9 +39,9 @@ func main() {
 	plot := report.NewPlot("Energy vs core clock on one ClusterA domain (tiny)",
 		"clock GHz", "energy J")
 	for _, name := range []string{"pot3d", "sph-exa"} {
-		results, err := campaign.Results(engine.Run(spec.RunSpec{
+		results, err := campaign.Results(sched.Run(context.Background(), spec.RunSpec{
 			Benchmark: name, Class: bench.Tiny, Cluster: a, Ranks: ranks,
-		}.AtClocks(a.CPU.DVFS.Ladder())))
+		}.AtClocks(a.CPU.DVFS.Ladder()), campaign.Exact))
 		if err != nil {
 			log.Fatal(err)
 		}

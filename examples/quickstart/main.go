@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,21 +17,21 @@ import (
 
 func main() {
 	// Clusters are resolved by name from the machine registry; the
-	// campaign engine executes jobs (in parallel for batches) and
+	// campaign scheduler executes jobs (in parallel for batches) and
 	// memoizes every result.
 	clusterA := machine.MustGet("ClusterA")
-	engine := campaign.New(0) // 0 = one worker per host core
+	sched := campaign.NewScheduler(0, nil) // 0 = one worker per host core, nil = no store
 
 	// Run tealeaf's tiny workload on one ccNUMA domain (18 cores) of the
 	// Ice Lake cluster. The harness verifies the solver's checks (CG
 	// residual reduction) and extrapolates the simulated iterations to
 	// the full Table 1 workload.
-	outs := engine.Run([]spec.RunSpec{{
+	outs := sched.Run(context.Background(), []spec.RunSpec{{
 		Benchmark: "tealeaf",
 		Class:     bench.Tiny,
 		Cluster:   clusterA,
 		Ranks:     18,
-	}})
+	}}, campaign.Exact)
 	if outs[0].Err != nil {
 		log.Fatal(outs[0].Err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -19,18 +20,18 @@ import (
 
 func main() {
 	a := machine.MustGet("ClusterA")
-	// The campaign engine runs each sweep's points in parallel across
+	// The campaign scheduler runs each sweep's points in parallel across
 	// host cores and memoizes every job.
-	engine := campaign.New(0)
+	sched := campaign.NewScheduler(0, nil)
 
 	// Node level: pot3d (strongly memory-bound) vs sph-exa (compute
 	// bound) across one node of ClusterA.
 	points := []int{1, 2, 4, 9, 18, 36, 54, 72}
 	plot := report.NewPlot("Node-level speedup on ClusterA (tiny)", "ranks", "speedup")
 	for _, name := range []string{"pot3d", "sph-exa"} {
-		results, err := campaign.Results(engine.Run(spec.RunSpec{
+		results, err := campaign.Results(sched.Run(context.Background(), spec.RunSpec{
 			Benchmark: name, Class: bench.Tiny, Cluster: a,
-		}.AtRanks(points)))
+		}.AtRanks(points), campaign.Exact))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,10 +53,10 @@ func main() {
 	// scaling cases using the small suite.
 	fmt.Println("Multi-node scaling cases (small suite, ClusterA):")
 	for _, name := range []string{"pot3d", "cloverleaf", "soma"} {
-		results, err := campaign.Results(engine.Run(spec.RunSpec{
+		results, err := campaign.Results(sched.Run(context.Background(), spec.RunSpec{
 			Benchmark: name, Class: bench.Small, Cluster: a,
 			Options: bench.Options{SimSteps: 1},
-		}.AtRanks([]int{72, 144, 288, 576})))
+		}.AtRanks([]int{72, 144, 288, 576}), campaign.Exact))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package hpgmgfv
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -171,7 +172,7 @@ func TestSharedHistoryConcurrentJobs(t *testing.T) {
 		Options: bench.Options{SimSteps: 5}})
 
 	resetHistory()
-	outs := campaign.New(4).Run(jobs)
+	outs := campaign.NewScheduler(4, nil).Run(context.Background(), jobs, campaign.Exact)
 	resetHistory()
 	for i, rs := range jobs {
 		serial, err := spec.Run(rs)

@@ -5,29 +5,29 @@
 // discrete-event run, so campaigns are embarrassingly parallel across
 // host cores.
 //
-// The core is a long-lived asynchronous Scheduler: jobs are submitted
-// with a context and a priority, deduplicated under a canonical
+// One long-lived Scheduler runs every job: each is submitted with a
+// context, a priority and a query mode, deduplicated under a canonical
 // content-addressed job Key, coalesced across requests (identical jobs
 // in flight from different callers share one simulation), executed on a
 // bounded on-demand worker pool fed by a priority queue, and memoized
 // for the scheduler's lifetime. Queued jobs whose submitters all cancel
 // are dropped without running; running simulations always complete.
 //
-// The synchronous Engine (Run, RunCtx) is a thin batch adapter over the
-// scheduler for CLIs, figures, and tests: it submits a batch, waits for
-// every ticket, and returns outcomes in deterministic input order with
-// per-job errors — one failing job never aborts its siblings. A sweep is
-// just a batch: spec.RunSpec's AtRanks and AtClocks build it, and
-// Results unwraps it.
+// Submit returns a Ticket at once, for callers (the scenario planner,
+// the HTTP service) that want results to stream in as they land. Run
+// submits a whole batch, waits for every ticket, and returns outcomes in
+// deterministic input order with per-job errors — one failing job never
+// aborts its siblings. A sweep is just a batch: spec.RunSpec's AtRanks
+// and AtClocks build it, and Results unwraps it.
 //
-// Backed by a persistent Store (see NewWithStore), the memo additionally
-// survives the process: results are looked up in — and written through to
-// — an on-disk content-addressed cache, so re-running the same scenarios
-// in a fresh process serves them without re-simulating.
+// Backed by a persistent Store (NewScheduler's second argument, or
+// NewWithCacheDir), the memo additionally survives the process: results
+// are looked up in — and written through to — an on-disk
+// content-addressed cache, so re-running the same scenarios in a fresh
+// process serves them without re-simulating.
 package campaign
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/spechpc/spechpc-sim/internal/spec"
@@ -53,7 +53,7 @@ type Outcome struct {
 // simulation, so faults never lose results). Cancelled counts queued
 // jobs dropped before starting (submitters all cancelled, or scheduler
 // shutdown). The Surrogate* counters cover Fast-mode submissions (see
-// SubmitMode): SurrogateHits are queries answered analytically without
+// Submit): SurrogateHits are queries answered analytically without
 // simulating, SurrogateMisses fell back because no fitted model covered
 // the job's family, and SurrogateRefused fell back because the model
 // declined the query (extrapolation outside the fitted hull, or an
@@ -86,120 +86,24 @@ func (s Stats) String() string {
 	return line
 }
 
-// Engine is the synchronous batch view of a Scheduler. The zero value is
-// not usable; construct with New, NewWithStore, or NewWithScheduler. An
-// Engine is safe for concurrent use; concurrent Run calls share the
-// scheduler's worker pool, memo, and coalescing.
-type Engine struct {
-	sched *Scheduler
-	mode  Mode
-}
-
-// New returns an engine running at most workers simulations at once.
-// workers <= 0 selects runtime.NumCPU().
-func New(workers int) *Engine {
-	return NewWithStore(workers, nil)
-}
-
-// NewWithStore returns an engine whose in-process memo is backed by a
-// persistent store: jobs missing from the memo are looked up in the store
-// before simulating, and freshly simulated results are written through.
-// Jobs that keep full event traces (RunSpec.KeepTrace) bypass the store —
-// event timelines are not persisted — and failed jobs are never written,
-// so transient faults cannot poison a shared cache. A nil store behaves
-// exactly like New.
-func NewWithStore(workers int, store Store) *Engine {
-	return NewWithScheduler(NewScheduler(workers, store))
-}
-
-// NewWithScheduler wraps an existing scheduler in the synchronous batch
-// API, so long-lived services can share one scheduler between HTTP
-// submissions and planner-driven batches.
-func NewWithScheduler(s *Scheduler) *Engine {
-	return &Engine{sched: s}
-}
-
-// NewWithCacheDir returns an engine backed by an on-disk store rooted at
-// cacheDir, or a store-less engine when cacheDir is empty — the one-stop
-// constructor behind both CLIs' -cache-dir flag.
-func NewWithCacheDir(workers int, cacheDir string) (*Engine, error) {
+// NewWithCacheDir returns a scheduler backed by an on-disk store rooted
+// at cacheDir, or a store-less scheduler when cacheDir is empty — the
+// one-stop constructor behind both CLIs' -cache-dir flag.
+func NewWithCacheDir(workers int, cacheDir string) (*Scheduler, error) {
 	if cacheDir == "" {
-		return New(workers), nil
+		return NewScheduler(workers, nil), nil
 	}
 	st, err := NewDirStore(cacheDir)
 	if err != nil {
 		return nil, err
 	}
-	return NewWithStore(workers, st), nil
-}
-
-// Workers returns the pool size.
-func (e *Engine) Workers() int { return e.sched.Workers() }
-
-// Store returns the persistent store backing the engine (nil if none).
-func (e *Engine) Store() Store { return e.sched.Store() }
-
-// Scheduler returns the asynchronous scheduler behind the engine.
-func (e *Engine) Scheduler() *Scheduler { return e.sched }
-
-// Stats returns a snapshot of the cache counters.
-func (e *Engine) Stats() Stats { return e.sched.Stats() }
-
-// Mode returns the query mode every submission through this engine view
-// uses (Exact unless derived with WithMode).
-func (e *Engine) Mode() Mode { return e.mode }
-
-// WithMode returns a derived view of the same engine — same scheduler,
-// memo, store, and counters — whose submissions carry the given query
-// mode. A Fast view lets whole scenario renders ride the surrogate,
-// while the original Exact view is untouched; because surrogate answers
-// are never memoized, the two views cannot contaminate each other.
-func (e *Engine) WithMode(mode Mode) *Engine {
-	if mode == e.mode {
-		return e
-	}
-	return &Engine{sched: e.sched, mode: mode}
-}
-
-// Submit enqueues one job on the underlying scheduler without blocking —
-// the asynchronous escape hatch for callers (the scenario planner, the
-// HTTP service) that want results to stream in as they land. The
-// engine's mode applies (see WithMode).
-func (e *Engine) Submit(ctx context.Context, rs spec.RunSpec) *Ticket {
-	return e.sched.SubmitMode(ctx, rs, 0, e.mode)
-}
-
-// Run executes a campaign and returns one Outcome per job, in input
-// order. Jobs already memoized (or duplicated within the batch) are
-// served from the in-process memo, then from the persistent store if one
-// is attached; the rest run on the scheduler's worker pool. At most
-// Workers() worker goroutines exist no matter the batch size, so 10k-job
-// scenario batches do not create 10k parked goroutines.
-func (e *Engine) Run(jobs []spec.RunSpec) []Outcome {
-	return e.RunCtx(context.Background(), jobs)
-}
-
-// RunCtx is Run under a cancellable context: the batch is submitted and
-// awaited with ctx, so cancelling it releases the batch's claim on
-// queued jobs and unblocks the waits (outcomes carry the context
-// error). A cancelled ctx can never pin work alive — the path renderers
-// use so an abandoned study stops resubmitting its own jobs.
-func (e *Engine) RunCtx(ctx context.Context, jobs []spec.RunSpec) []Outcome {
-	tickets := make([]*Ticket, len(jobs))
-	for i, rs := range jobs {
-		tickets[i] = e.Submit(ctx, rs)
-	}
-	out := make([]Outcome, len(jobs))
-	for i, t := range tickets {
-		out[i] = t.Wait(ctx)
-	}
-	return out
+	return NewScheduler(workers, st), nil
 }
 
 // Results unwraps a batch's outcomes into results in input order, the
-// last step of a sweep: Results(engine.Run(base.AtRanks(points))). The
-// first failed job aborts the slice, and its error names that job (the
-// remaining jobs still completed and stay memoized).
+// last step of a sweep: Results(s.Run(ctx, base.AtRanks(points), Exact)).
+// The first failed job aborts the slice, and its error names that job
+// (the remaining jobs still completed and stay memoized).
 func Results(outs []Outcome) ([]spec.RunResult, error) {
 	results := make([]spec.RunResult, len(outs))
 	for i, o := range outs {

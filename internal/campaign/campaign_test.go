@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -54,7 +55,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Results(New(4).Run(base.AtRanks(points)))
+	parallel, err := Results(NewScheduler(4, nil).Run(context.Background(), base.AtRanks(points), Exact))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,24 +80,24 @@ func TestParallelMatchesSerial(t *testing.T) {
 // the synthetic kernel's global counter advances once per unique job no
 // matter how many times the job is submitted.
 func TestCacheSkipsResimulation(t *testing.T) {
-	e := New(2)
+	sched := NewScheduler(2, nil)
 	before := simCount.Load()
 
 	// Three submissions of the same job in one batch plus one distinct job.
-	outs := e.Run([]spec.RunSpec{counterJob(1), counterJob(1), counterJob(1), counterJob(2)})
+	outs := sched.Run(context.Background(), []spec.RunSpec{counterJob(1), counterJob(1), counterJob(1), counterJob(2)}, Exact)
 	for i, o := range outs {
 		if o.Err != nil {
 			t.Fatalf("job %d: %v", i, o.Err)
 		}
 	}
 	// A second batch resubmitting both jobs.
-	outs2 := e.Run([]spec.RunSpec{counterJob(1), counterJob(2)})
+	outs2 := sched.Run(context.Background(), []spec.RunSpec{counterJob(1), counterJob(2)}, Exact)
 
 	// 1-rank job simulated once (1 rank) + 2-rank job once (2 ranks).
 	if got := simCount.Load() - before; got != 3 {
 		t.Errorf("kernel executed on %d ranks total, want 3 (one simulation per unique job)", got)
 	}
-	st := e.Stats()
+	st := sched.Stats()
 	if st.Jobs != 6 || st.Misses != 2 || st.Hits != 4 {
 		t.Errorf("stats = %+v, want {Jobs:6 Hits:4 Misses:2}", st)
 	}
@@ -108,13 +109,13 @@ func TestCacheSkipsResimulation(t *testing.T) {
 // TestPerJobErrorsDoNotAbortSiblings mixes failing jobs into a batch and
 // requires every sibling to complete.
 func TestPerJobErrorsDoNotAbortSiblings(t *testing.T) {
-	e := New(4)
-	outs := e.Run([]spec.RunSpec{
+	sched := NewScheduler(4, nil)
+	outs := sched.Run(context.Background(), []spec.RunSpec{
 		counterJob(1),
 		{Benchmark: "no-such-kernel", Class: bench.Tiny, Cluster: machine.MustGet("ClusterA"), Ranks: 1},
 		counterJob(2),
 		{Benchmark: "campaign-counter", Class: bench.Tiny, Ranks: 1}, // nil cluster
-	})
+	}, Exact)
 	if outs[0].Err != nil || outs[2].Err != nil {
 		t.Errorf("good jobs failed: %v, %v", outs[0].Err, outs[2].Err)
 	}
@@ -125,12 +126,12 @@ func TestPerJobErrorsDoNotAbortSiblings(t *testing.T) {
 		t.Errorf("nil cluster not reported: %v", outs[3].Err)
 	}
 	// Errors are memoized too.
-	st := e.Stats()
-	outs2 := e.Run([]spec.RunSpec{outs[1].Job})
+	st := sched.Stats()
+	outs2 := sched.Run(context.Background(), []spec.RunSpec{outs[1].Job}, Exact)
 	if outs2[0].Err == nil {
 		t.Error("memoized error lost")
 	}
-	if e.Stats().Misses != st.Misses {
+	if sched.Stats().Misses != st.Misses {
 		t.Error("failed job re-simulated instead of served from cache")
 	}
 }
@@ -143,7 +144,7 @@ func TestOutcomesInInputOrder(t *testing.T) {
 	for i, r := range ranks {
 		jobs[i] = counterJob(r)
 	}
-	outs := New(3).Run(jobs)
+	outs := NewScheduler(3, nil).Run(context.Background(), jobs, Exact)
 	for i, o := range outs {
 		if o.Err != nil {
 			t.Fatalf("job %d: %v", i, o.Err)
@@ -204,10 +205,10 @@ func TestKeyDistinguishesClockPoints(t *testing.T) {
 // TestFrequencySweep fans one job across a clock list as one batch and
 // checks ladder order and per-point memoization.
 func TestFrequencySweep(t *testing.T) {
-	e := New(4)
+	sched := NewScheduler(4, nil)
 	jobs := counterJob(2).AtClocks([]float64{0.8e9, 1.6e9, 2.4e9})
 
-	results, err := Results(e.Run(jobs))
+	results, err := Results(sched.Run(context.Background(), jobs, Exact))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,15 +222,15 @@ func TestFrequencySweep(t *testing.T) {
 	}
 	// Slower clocks may not beat the base wall time for this tiny kernel,
 	// but the three points must be distinct simulations.
-	st := e.Stats()
+	st := sched.Stats()
 	if st.Misses != 3 {
 		t.Errorf("%d fresh simulations, want 3 (one per clock)", st.Misses)
 	}
 	// Resubmitting is all cache hits.
-	if _, err := Results(e.Run(jobs)); err != nil {
+	if _, err := Results(sched.Run(context.Background(), jobs, Exact)); err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats().Misses != st.Misses {
+	if sched.Stats().Misses != st.Misses {
 		t.Error("repeated frequency sweep re-simulated instead of hitting the cache")
 	}
 }
@@ -237,7 +238,7 @@ func TestFrequencySweep(t *testing.T) {
 // TestSweepAllCoversCrossProduct checks a multi-kernel sweep submitted
 // as one kernel × point batch returns every result in input order.
 func TestSweepAllCoversCrossProduct(t *testing.T) {
-	e := New(4)
+	sched := NewScheduler(4, nil)
 	names := []string{"campaign-counter", "tealeaf"}
 	points := []int{1, 2}
 	var jobs []spec.RunSpec
@@ -249,7 +250,7 @@ func TestSweepAllCoversCrossProduct(t *testing.T) {
 			Options:   bench.Options{SimSteps: 1},
 		}.AtRanks(points)...)
 	}
-	results, err := Results(e.Run(jobs))
+	results, err := Results(sched.Run(context.Background(), jobs, Exact))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +281,9 @@ func TestPooledEnvReuseAcrossWorkers(t *testing.T) {
 		}
 	}
 	run := func() []Outcome {
-		// A fresh engine per round defeats memoization, forcing every
+		// A fresh scheduler per round defeats memoization, forcing every
 		// job to re-simulate on recycled environments.
-		return New(4).Run(jobs)
+		return NewScheduler(4, nil).Run(context.Background(), jobs, Exact)
 	}
 	first := run()
 	second := run()
@@ -324,10 +325,10 @@ func TestPooledJobReuseOscillatingShapes(t *testing.T) {
 			})
 		}
 	}
-	// Fresh engines defeat memoization so both runs simulate every job;
+	// Fresh schedulers defeat memoization so both runs simulate every job;
 	// the single worker run is the sequential reference.
-	serial := New(1).Run(jobs)
-	parallel := New(4).Run(jobs)
+	serial := NewScheduler(1, nil).Run(context.Background(), jobs, Exact)
+	parallel := NewScheduler(4, nil).Run(context.Background(), jobs, Exact)
 	for i := range jobs {
 		if serial[i].Err != nil || parallel[i].Err != nil {
 			t.Fatalf("job %d failed: %v / %v", i, serial[i].Err, parallel[i].Err)

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -218,8 +219,8 @@ func TestKeyDoesNotClampInvalidClocks(t *testing.T) {
 	if Key(valid) == Key(invalid) {
 		t.Fatal("out-of-range clock clamped onto the ladder endpoint key")
 	}
-	e := New(1)
-	outs := e.Run([]spec.RunSpec{invalid, valid})
+	sched := NewScheduler(1, nil)
+	outs := sched.Run(context.Background(), []spec.RunSpec{invalid, valid}, Exact)
 	if outs[0].Err == nil {
 		t.Error("out-of-range clock job did not fail")
 	}
@@ -256,7 +257,7 @@ func TestResultsNamesFailingJob(t *testing.T) {
 	jobs[0].ClockHz = dvfs.MinHz
 	jobs[1].ClockHz = dvfs.MinHz / 2 // below the ladder: spec.Run rejects it
 	jobs[2].ClockHz = dvfs.MaxHz
-	results, err := Results(New(2).Run(jobs))
+	results, err := Results(NewScheduler(2, nil).Run(context.Background(), jobs, Exact))
 	if err == nil {
 		t.Fatalf("batch with an out-of-range clock succeeded: %d results", len(results))
 	}

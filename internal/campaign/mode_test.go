@@ -63,11 +63,11 @@ func fakePrediction(rs spec.RunSpec, wall float64) Predicted {
 	return Predicted{Result: res, Bound: 0.05}
 }
 
-// TestSubmitModeFastHit is the fast path's acceptance test: with a
+// TestSubmitFastHit is the fast path's acceptance test: with a
 // predictor attached, a Fast submission resolves instantly from the
 // model — no simulation, ticket already Done, prediction and bound on
 // the ticket, SurrogateHits counted.
-func TestSubmitModeFastHit(t *testing.T) {
+func TestSubmitFastHit(t *testing.T) {
 	simCount.Store(0)
 	s := NewScheduler(2, nil)
 	defer s.Close()
@@ -75,7 +75,7 @@ func TestSubmitModeFastHit(t *testing.T) {
 	p := &fakePredictor{answers: []fakeAnswer{{pred: fakePrediction(job, 1.25)}}}
 	s.SetPredictor(p)
 
-	tk := s.SubmitMode(context.Background(), job, 0, Fast)
+	tk := s.Submit(context.Background(), job, 0, Fast)
 	select {
 	case <-tk.Done():
 	default:
@@ -100,11 +100,11 @@ func TestSubmitModeFastHit(t *testing.T) {
 	}
 }
 
-// TestSubmitModeFallbacks covers both fallback classes: ErrNoModel
+// TestSubmitFastFallbacks covers both fallback classes: ErrNoModel
 // counts a surrogate miss, any other predictor error counts a refusal,
 // and both fall back to a real simulation whose result is fed back to
 // the observer.
-func TestSubmitModeFallbacks(t *testing.T) {
+func TestSubmitFastFallbacks(t *testing.T) {
 	cases := []struct {
 		name    string
 		err     error
@@ -121,7 +121,7 @@ func TestSubmitModeFallbacks(t *testing.T) {
 			p := &fakePredictor{answers: []fakeAnswer{{err: tc.err}}}
 			s.SetPredictor(p)
 
-			tk := s.SubmitMode(context.Background(), counterJob(2), 0, Fast)
+			tk := s.Submit(context.Background(), counterJob(2), 0, Fast)
 			out := tk.Wait(context.Background())
 			if out.Err != nil {
 				t.Fatalf("fallback simulation failed: %v", out.Err)
@@ -154,18 +154,18 @@ type wrappedErr struct {
 func (e *wrappedErr) Error() string { return e.sentinel.Error() + ": " + e.msg }
 func (e *wrappedErr) Unwrap() error { return e.sentinel }
 
-// TestSubmitModeExactMemoBeatsSurrogate: once the exact result is
+// TestSubmitFastExactMemoBeatsSurrogate: once the exact result is
 // memoized, a Fast submission serves it (a free exact answer) without
 // consulting the predictor at all.
-func TestSubmitModeExactMemoBeatsSurrogate(t *testing.T) {
+func TestSubmitFastExactMemoBeatsSurrogate(t *testing.T) {
 	s := NewScheduler(2, nil)
 	defer s.Close()
 	job := counterJob(2)
-	s.Submit(context.Background(), job).Wait(context.Background())
+	s.Submit(context.Background(), job, 0, Exact).Wait(context.Background())
 
 	p := &fakePredictor{answers: []fakeAnswer{{pred: fakePrediction(job, 99)}}}
 	s.SetPredictor(p)
-	tk := s.SubmitMode(context.Background(), job, 0, Fast)
+	tk := s.Submit(context.Background(), job, 0, Fast)
 	out := tk.Wait(context.Background())
 	if out.Err != nil {
 		t.Fatalf("memo-served fast submission failed: %v", out.Err)
@@ -181,20 +181,20 @@ func TestSubmitModeExactMemoBeatsSurrogate(t *testing.T) {
 	}
 }
 
-// TestSubmitModeNoMemoPollution: a surrogate answer must never shadow
+// TestSubmitFastNoMemoPollution: a surrogate answer must never shadow
 // the exact identity — an Exact submission after a fast hit still
 // simulates.
-func TestSubmitModeNoMemoPollution(t *testing.T) {
+func TestSubmitFastNoMemoPollution(t *testing.T) {
 	s := NewScheduler(2, nil)
 	defer s.Close()
 	job := counterJob(4)
 	p := &fakePredictor{answers: []fakeAnswer{{pred: fakePrediction(job, 1)}}}
 	s.SetPredictor(p)
 
-	if _, sur := s.SubmitMode(context.Background(), job, 0, Fast).Surrogate(); !sur {
+	if _, sur := s.Submit(context.Background(), job, 0, Fast).Surrogate(); !sur {
 		t.Fatal("setup: fast submission was not surrogate-answered")
 	}
-	out := s.Submit(context.Background(), job).Wait(context.Background())
+	out := s.Submit(context.Background(), job, 0, Exact).Wait(context.Background())
 	if out.Err != nil {
 		t.Fatalf("exact submission failed: %v", out.Err)
 	}
@@ -204,9 +204,9 @@ func TestSubmitModeNoMemoPollution(t *testing.T) {
 	}
 }
 
-// TestSubmitModeKeepTraceBypassesSurrogate: trace-keeping jobs need the
+// TestSubmitFastKeepTraceBypassesSurrogate: trace-keeping jobs need the
 // full event timeline, which no analytic model can produce.
-func TestSubmitModeKeepTraceBypassesSurrogate(t *testing.T) {
+func TestSubmitFastKeepTraceBypassesSurrogate(t *testing.T) {
 	s := NewScheduler(2, nil)
 	defer s.Close()
 	p := &fakePredictor{answers: []fakeAnswer{{pred: fakePrediction(counterJob(1), 1)}}}
@@ -214,7 +214,7 @@ func TestSubmitModeKeepTraceBypassesSurrogate(t *testing.T) {
 
 	job := counterJob(1)
 	job.KeepTrace = true
-	out := s.SubmitMode(context.Background(), job, 0, Fast).Wait(context.Background())
+	out := s.Submit(context.Background(), job, 0, Fast).Wait(context.Background())
 	if out.Err != nil {
 		t.Fatalf("trace job failed: %v", out.Err)
 	}
@@ -226,24 +226,12 @@ func TestSubmitModeKeepTraceBypassesSurrogate(t *testing.T) {
 	}
 }
 
-// TestEngineWithMode: a Fast-derived engine view routes whole batches
-// through the surrogate while the original Exact view still simulates —
-// both over one shared scheduler.
-func TestEngineWithMode(t *testing.T) {
+// TestRunFastVersusExact: a Fast batch is answered by the surrogate
+// without simulating, while an Exact batch of the same jobs on the same
+// scheduler still simulates — surrogate answers never enter the memo.
+func TestRunFastVersusExact(t *testing.T) {
 	s := NewScheduler(2, nil)
 	defer s.Close()
-	e := NewWithScheduler(s)
-	if e.Mode() != Exact {
-		t.Fatalf("default engine mode = %v, want Exact", e.Mode())
-	}
-	fast := e.WithMode(Fast)
-	if fast.Mode() != Fast || e.Mode() != Exact {
-		t.Fatalf("WithMode mutated the base view: fast=%v base=%v", fast.Mode(), e.Mode())
-	}
-	if e.WithMode(Exact) != e {
-		t.Error("WithMode(same) should return the receiver")
-	}
-
 	jobs := []spec.RunSpec{counterJob(1), counterJob(2)}
 	p := &fakePredictor{answers: []fakeAnswer{
 		{pred: fakePrediction(jobs[0], 1)},
@@ -251,7 +239,7 @@ func TestEngineWithMode(t *testing.T) {
 	}}
 	s.SetPredictor(p)
 
-	for i, o := range fast.Run(jobs) {
+	for i, o := range s.Run(context.Background(), jobs, Fast) {
 		if o.Err != nil {
 			t.Fatalf("fast job %d: %v", i, o.Err)
 		}
@@ -263,13 +251,36 @@ func TestEngineWithMode(t *testing.T) {
 	if st.SurrogateHits != 2 || st.Misses != 0 {
 		t.Fatalf("fast batch stats = %+v, want SurrogateHits=2 Misses=0", st)
 	}
-	for i, o := range e.Run(jobs) {
+	exact := s.Run(context.Background(), jobs, Exact)
+	for i, o := range exact {
 		if o.Err != nil {
 			t.Fatalf("exact job %d: %v", i, o.Err)
+		}
+		if o.Result.Usage.Wall == float64(i+1) {
+			t.Errorf("exact job %d returned the surrogate's answer", i)
 		}
 	}
 	if st := s.Stats(); st.Misses != 2 {
 		t.Errorf("exact batch after fast batch: Misses = %d, want 2", st.Misses)
+	}
+
+	// A second Fast batch: the memoized exact result beats the surrogate,
+	// and a job the exhausted predictor has no model for falls back to a
+	// simulation.
+	outs := s.Run(context.Background(), []spec.RunSpec{jobs[0], counterJob(3)}, Fast)
+	for i, o := range outs {
+		if o.Err != nil {
+			t.Fatalf("fallback batch job %d: %v", i, o.Err)
+		}
+	}
+	if outs[0].Result.Usage.Wall != exact[0].Result.Usage.Wall {
+		t.Errorf("memoized job wall = %v, want the exact %v", outs[0].Result.Usage.Wall, exact[0].Result.Usage.Wall)
+	}
+	if n := p.callCount(); n != 3 {
+		t.Errorf("predictor consulted %d times, want 3 (never for a memoized exact job)", n)
+	}
+	if st := s.Stats(); st.Misses != 3 || st.SurrogateHits != 2 || st.SurrogateMisses != 1 {
+		t.Errorf("fallback batch stats = %+v, want Misses=3 SurrogateHits=2 SurrogateMisses=1", st)
 	}
 }
 
@@ -304,14 +315,14 @@ func TestObserverFeedsFromStoreHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := NewScheduler(2, st)
-	warm.Submit(context.Background(), counterJob(2)).Wait(context.Background())
+	warm.Submit(context.Background(), counterJob(2), 0, Exact).Wait(context.Background())
 	warm.Close()
 
 	s := NewScheduler(2, st)
 	defer s.Close()
 	p := &fakePredictor{}
 	s.SetPredictor(p)
-	out := s.Submit(context.Background(), counterJob(2)).Wait(context.Background())
+	out := s.Submit(context.Background(), counterJob(2), 0, Exact).Wait(context.Background())
 	if out.Err != nil {
 		t.Fatalf("store-served job failed: %v", out.Err)
 	}

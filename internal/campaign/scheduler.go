@@ -187,17 +187,14 @@ func (q *jobQueue) Pop() any {
 	return j
 }
 
-// Scheduler is the long-lived asynchronous campaign executor: Submit
-// enqueues one job and returns a Ticket immediately; a pool of at most
-// Workers() on-demand worker goroutines drains the priority queue;
-// identical jobs submitted by different callers coalesce onto one
-// simulation; completed outcomes stay memoized for the scheduler's
-// lifetime (and, with a Store attached, across processes). A Scheduler
-// is safe for concurrent use from any number of goroutines.
-//
-// The synchronous Engine (Run, RunCtx) is a thin batch adapter over a
-// Scheduler for CLIs, figures and tests, while the HTTP service
-// (internal/service) drives the Scheduler directly.
+// Scheduler is the long-lived campaign executor every caller shares:
+// Submit enqueues one job and returns a Ticket immediately, and Run
+// submits a batch and waits for it; a pool of at most Workers()
+// on-demand worker goroutines drains the priority queue; identical jobs
+// submitted by different callers coalesce onto one simulation;
+// completed outcomes stay memoized for the scheduler's lifetime (and,
+// with a Store attached, across processes). A Scheduler is safe for
+// concurrent use from any number of goroutines.
 type Scheduler struct {
 	workers int
 	store   Store
@@ -238,9 +235,13 @@ type Scheduler struct {
 
 // NewScheduler returns a scheduler running at most workers simulations
 // at once (workers <= 0 selects the host core count) with an optional
-// persistent store (nil = in-process memo only). Workers are spawned on
-// demand and exit when the queue drains, so an idle scheduler holds no
-// goroutines.
+// persistent store (nil = in-process memo only). Jobs missing from the
+// memo are looked up in the store before simulating, and freshly
+// simulated results are written through. Jobs that keep full event
+// traces (RunSpec.KeepTrace) bypass the store — event timelines are not
+// persisted — and failed jobs are never written, so transient faults
+// cannot poison a shared cache. Workers are spawned on demand and exit
+// when the queue drains, so an idle scheduler holds no goroutines.
 func NewScheduler(workers int, store Store) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -395,25 +396,32 @@ func (s *Scheduler) Active() int {
 	return s.active
 }
 
-// Submit enqueues one job at default priority. See SubmitPriority.
-func (s *Scheduler) Submit(ctx context.Context, rs spec.RunSpec) *Ticket {
-	return s.SubmitPriority(ctx, rs, 0)
-}
-
-// SubmitMode submits one job under a query mode. Exact is exactly
-// SubmitPriority. Fast consults the attached predictor first: a usable
-// model answers in microseconds with a ticket that is already Done
-// (carrying the prediction and its error bound, see Ticket.Surrogate),
-// while a missing model, an extrapolating query, or a too-loose bound
-// falls back to the exact path — queueing a simulation whose result,
-// once resolved, feeds back into the model. An exact result already
-// memoized beats the surrogate: fast mode never degrades a free exact
-// answer to an approximation.
-func (s *Scheduler) SubmitMode(ctx context.Context, rs spec.RunSpec, pri int, mode Mode) *Ticket {
+// Submit enqueues one job and returns its Ticket without blocking.
+// Higher priorities run sooner; equal priorities run in submission
+// order. A job whose canonical Key is already known — queued, running,
+// or done — coalesces onto the existing entry instead of re-simulating,
+// whoever submitted it first.
+//
+// The context governs the submission's interest, not the simulation:
+// cancelling ctx while the job is still queued releases this
+// submission's claim, and a queued job with no remaining claims is
+// dropped from the queue and resolved as Cancelled. Once a job starts
+// running it always completes (and memoizes), whatever its submitters'
+// contexts do; ctx then only affects how long Wait blocks.
+//
+// Exact mode always resolves through the engine. Fast consults the
+// attached predictor first: a usable model answers in microseconds with
+// a ticket that is already Done (carrying the prediction and its error
+// bound, see Ticket.Surrogate), while a missing model, an extrapolating
+// query, or a too-loose bound falls back to the exact path — queueing a
+// simulation whose result, once resolved, feeds back into the model. An
+// exact result already memoized beats the surrogate: fast mode never
+// degrades a free exact answer to an approximation.
+func (s *Scheduler) Submit(ctx context.Context, rs spec.RunSpec, pri int, mode Mode) *Ticket {
 	// KeepTrace jobs need the full event timeline, which no analytic
 	// model can synthesize.
 	if mode != Fast || s.predictor == nil || rs.KeepTrace {
-		return s.SubmitPriority(ctx, rs, pri)
+		return s.enqueue(ctx, rs, pri)
 	}
 	key := Key(rs)
 	s.mu.Lock()
@@ -422,7 +430,7 @@ func (s *Scheduler) SubmitMode(ctx context.Context, rs spec.RunSpec, pri int, mo
 	closed := s.closed
 	s.mu.Unlock()
 	if exact || closed {
-		return s.SubmitPriority(ctx, rs, pri)
+		return s.enqueue(ctx, rs, pri)
 	}
 	pred, err := s.predictor.Predict(rs)
 	if err != nil {
@@ -433,7 +441,7 @@ func (s *Scheduler) SubmitMode(ctx context.Context, rs spec.RunSpec, pri int, mo
 				st.SurrogateRefused++
 			}
 		})
-		return s.SubmitPriority(ctx, rs, pri)
+		return s.enqueue(ctx, rs, pri)
 	}
 	s.count(func(st *Stats) { st.Jobs++; st.SurrogateHits++ })
 	// The answered job never enters the memo: predictions are cheap to
@@ -445,19 +453,9 @@ func (s *Scheduler) SubmitMode(ctx context.Context, rs spec.RunSpec, pri int, mo
 	return &Ticket{s: s, j: pj, rs: rs}
 }
 
-// SubmitPriority enqueues one job and returns its Ticket without
-// blocking. Higher priorities run sooner; equal priorities run in
-// submission order. A job whose canonical Key is already known — queued,
-// running, or done — coalesces onto the existing entry instead of
-// re-simulating, whoever submitted it first.
-//
-// The context governs the submission's interest, not the simulation:
-// cancelling ctx while the job is still queued releases this
-// submission's claim, and a queued job with no remaining claims is
-// dropped from the queue and resolved as Cancelled. Once a job starts
-// running it always completes (and memoizes), whatever its submitters'
-// contexts do; ctx then only affects how long Wait blocks.
-func (s *Scheduler) SubmitPriority(ctx context.Context, rs spec.RunSpec, pri int) *Ticket {
+// enqueue is Submit's exact path: coalesce onto a known key or queue a
+// new job.
+func (s *Scheduler) enqueue(ctx context.Context, rs spec.RunSpec, pri int) *Ticket {
 	key := Key(rs)
 	s.mu.Lock()
 	s.stats.Jobs++
@@ -500,6 +498,29 @@ func (s *Scheduler) SubmitPriority(ctx context.Context, rs spec.RunSpec, pri int
 	t := &Ticket{s: s, j: j, rs: rs}
 	t.watch(ctx)
 	return t
+}
+
+// Run executes a batch and returns one Outcome per job, in input order:
+// every job is submitted at default priority under mode, then each
+// ticket is awaited in turn. Jobs already memoized (or duplicated within
+// the batch) are served from the in-process memo, then from the
+// persistent store if one is attached; the rest run on the worker pool.
+// At most Workers() worker goroutines exist no matter the batch size, so
+// 10k-job scenario batches do not create 10k parked goroutines.
+//
+// Cancelling ctx releases the batch's claim on queued jobs and unblocks
+// the waits (outcomes carry ctx's error), so an abandoned study stops
+// resubmitting its own jobs; running simulations still complete.
+func (s *Scheduler) Run(ctx context.Context, jobs []spec.RunSpec, mode Mode) []Outcome {
+	tickets := make([]*Ticket, len(jobs))
+	for i, rs := range jobs {
+		tickets[i] = s.Submit(ctx, rs, 0, mode)
+	}
+	out := make([]Outcome, len(jobs))
+	for i, t := range tickets {
+		out[i] = t.Wait(ctx)
+	}
+	return out
 }
 
 // ensureWorkerLocked spawns a worker goroutine if the queue has waiting
@@ -724,8 +745,8 @@ func (t *Ticket) Cancel() {
 }
 
 // watch releases the ticket when its submit context is cancelled before
-// the job resolves. Background contexts (Done() == nil) — the Engine
-// adapters' case — spawn nothing.
+// the job resolves. Background contexts (Done() == nil) — most batch
+// runs' case — spawn nothing.
 func (t *Ticket) watch(ctx context.Context) {
 	if ctx == nil || ctx.Done() == nil {
 		return

@@ -95,9 +95,9 @@ func TestCrossRequestCoalescing(t *testing.T) {
 	defer s.Close()
 
 	job := blockJob(1)
-	t1 := s.Submit(context.Background(), job)
+	t1 := s.Submit(context.Background(), job, 0, Exact)
 	waitStarted(t, 1) // first submission is mid-simulation
-	t2 := s.Submit(context.Background(), job)
+	t2 := s.Submit(context.Background(), job, 0, Exact)
 
 	if st := s.Stats(); st.Coalesced != 1 {
 		t.Fatalf("stats before release = %+v, want exactly one coalesced hit", st)
@@ -131,11 +131,11 @@ func TestCancelQueuedJob(t *testing.T) {
 	s := NewScheduler(1, nil)
 	defer s.Close()
 
-	front := s.Submit(context.Background(), blockJob(1))
+	front := s.Submit(context.Background(), blockJob(1), 0, Exact)
 	waitStarted(t, 1) // the only worker is pinned inside job 1
 
 	ctx, cancel := context.WithCancel(context.Background())
-	queued := s.Submit(ctx, blockJob(2))
+	queued := s.Submit(ctx, blockJob(2), 0, Exact)
 	if got := queued.State(); got != Queued {
 		t.Fatalf("second job state = %v, want Queued behind the pinned worker", got)
 	}
@@ -157,7 +157,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	// The dropped job left no memo entry: resubmitting simulates fresh.
 	before := schedStarted.Load()
-	if o := s.Submit(context.Background(), blockJob(2)).Wait(context.Background()); o.Err != nil {
+	if o := s.Submit(context.Background(), blockJob(2), 0, Exact).Wait(context.Background()); o.Err != nil {
 		t.Fatalf("resubmitted job failed: %v", o.Err)
 	}
 	if schedStarted.Load() != before+1 {
@@ -175,12 +175,11 @@ func TestRunCancelledBatch(t *testing.T) {
 	schedStarted.Store(0)
 	s := NewScheduler(1, nil)
 	defer s.Close()
-	e := NewWithScheduler(s)
 
 	jobs := []spec.RunSpec{blockJob(1), blockJob(2), blockJob(3)}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan []Outcome)
-	go func() { done <- e.RunCtx(ctx, jobs) }()
+	go func() { done <- s.Run(ctx, jobs, Exact) }()
 	waitStarted(t, 1)
 	deadline := time.Now().Add(10 * time.Second)
 	for s.QueueDepth() != 2 {
@@ -208,7 +207,7 @@ func TestRunCancelledBatch(t *testing.T) {
 	}
 
 	close(schedGate)
-	out := s.Submit(context.Background(), blockJob(1)).Wait(context.Background())
+	out := s.Submit(context.Background(), blockJob(1), 0, Exact).Wait(context.Background())
 	if out.Err != nil {
 		t.Fatalf("running job failed: %v", out.Err)
 	}
@@ -229,12 +228,12 @@ func TestCancelOneOfTwoWaiters(t *testing.T) {
 	s := NewScheduler(1, nil)
 	defer s.Close()
 
-	front := s.Submit(context.Background(), blockJob(1))
+	front := s.Submit(context.Background(), blockJob(1), 0, Exact)
 	waitStarted(t, 1)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	first := s.Submit(ctx, blockJob(2))
-	second := s.Submit(context.Background(), blockJob(2))
+	first := s.Submit(ctx, blockJob(2), 0, Exact)
+	second := s.Submit(context.Background(), blockJob(2), 0, Exact)
 	cancel()
 	// The released claim must not drop the job while `second` still
 	// wants it: refs fall 2 -> 1, whenever the ctx watcher runs.
@@ -270,13 +269,13 @@ func TestPriorityOrdersQueue(t *testing.T) {
 			Options: bench.Options{SimSteps: tag},
 		}
 	}
-	front := s.Submit(context.Background(), blockJob(1))
+	front := s.Submit(context.Background(), blockJob(1), 0, Exact)
 	waitStarted(t, 1)
 
 	tickets := []*Ticket{
-		s.Submit(context.Background(), orderJob(10)),
-		s.Submit(context.Background(), orderJob(11)),
-		s.SubmitPriority(context.Background(), orderJob(99), 5),
+		s.Submit(context.Background(), orderJob(10), 0, Exact),
+		s.Submit(context.Background(), orderJob(11), 0, Exact),
+		s.Submit(context.Background(), orderJob(99), 5, Exact),
 	}
 	close(schedGate)
 	for _, tk := range tickets {
@@ -305,9 +304,9 @@ func TestCloseDropsQueuedUnblocksWaiters(t *testing.T) {
 	schedStarted.Store(0)
 	s := NewScheduler(1, nil)
 
-	front := s.Submit(context.Background(), blockJob(1))
+	front := s.Submit(context.Background(), blockJob(1), 0, Exact)
 	waitStarted(t, 1)
-	queued := s.Submit(context.Background(), blockJob(2))
+	queued := s.Submit(context.Background(), blockJob(2), 0, Exact)
 
 	closed := make(chan struct{})
 	go func() {
@@ -329,7 +328,7 @@ func TestCloseDropsQueuedUnblocksWaiters(t *testing.T) {
 	if o := front.Wait(context.Background()); o.Err != nil {
 		t.Errorf("running job lost by shutdown: %v", o.Err)
 	}
-	if o := s.Submit(context.Background(), blockJob(3)).Wait(context.Background()); !errors.Is(o.Err, ErrClosed) {
+	if o := s.Submit(context.Background(), blockJob(3), 0, Exact).Wait(context.Background()); !errors.Is(o.Err, ErrClosed) {
 		t.Errorf("post-Close submission resolved with %v, want ErrClosed", o.Err)
 	}
 }
@@ -349,7 +348,7 @@ func TestMemoBoundEvictsToStore(t *testing.T) {
 
 	jobs := []spec.RunSpec{counterJob(1), counterJob(2), counterJob(3), counterJob(4)}
 	for _, rs := range jobs {
-		if o := s.Submit(context.Background(), rs).Wait(context.Background()); o.Err != nil {
+		if o := s.Submit(context.Background(), rs, 0, Exact).Wait(context.Background()); o.Err != nil {
 			t.Fatal(o.Err)
 		}
 	}
@@ -362,7 +361,7 @@ func TestMemoBoundEvictsToStore(t *testing.T) {
 
 	// Resubmitting an evicted job costs a store read, not a simulation.
 	before := s.Stats()
-	if o := s.Submit(context.Background(), jobs[0]).Wait(context.Background()); o.Err != nil {
+	if o := s.Submit(context.Background(), jobs[0], 0, Exact).Wait(context.Background()); o.Err != nil {
 		t.Fatal(o.Err)
 	}
 	after := s.Stats()
@@ -406,7 +405,7 @@ func TestCloseDuringSubmitCancelStorm(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			<-start
 			for i := 0; i < submitsPer; i++ {
-				tk := s.SubmitPriority(context.Background(), jobs[r.Intn(len(jobs))], r.Intn(3))
+				tk := s.Submit(context.Background(), jobs[r.Intn(len(jobs))], r.Intn(3), Exact)
 				if r.Intn(2) == 0 {
 					tk.Cancel()
 				}
@@ -446,7 +445,7 @@ func TestCloseDuringSubmitCancelStorm(t *testing.T) {
 		}
 	}
 	// The scheduler stays rejecting — and non-blocking — after the storm.
-	if o := s.Submit(context.Background(), jobs[0]).Wait(context.Background()); !errors.Is(o.Err, ErrClosed) {
+	if o := s.Submit(context.Background(), jobs[0], 0, Exact).Wait(context.Background()); !errors.Is(o.Err, ErrClosed) {
 		t.Errorf("post-storm submission resolved with %v, want ErrClosed", o.Err)
 	}
 }
@@ -471,8 +470,8 @@ func TestSetRunnerRoutesExecution(t *testing.T) {
 	})
 
 	job := blockJob(401) // sched-block would hang if spec.Run were used
-	t1 := s.Submit(context.Background(), job)
-	t2 := s.Submit(context.Background(), job)
+	t1 := s.Submit(context.Background(), job, 0, Exact)
+	t2 := s.Submit(context.Background(), job, 0, Exact)
 	o1, o2 := t1.Wait(context.Background()), t2.Wait(context.Background())
 	if o1.Err != nil || o2.Err != nil {
 		t.Fatalf("runner-backed jobs failed: %v / %v", o1.Err, o2.Err)
@@ -480,7 +479,7 @@ func TestSetRunnerRoutesExecution(t *testing.T) {
 	if o1.Result.Report.StepsModeled != 7 {
 		t.Errorf("waiter got StepsModeled=%d, want the runner's synthetic 7", o1.Result.Report.StepsModeled)
 	}
-	if o := s.Submit(context.Background(), blockJob(402)).Wait(context.Background()); o.Err != nil {
+	if o := s.Submit(context.Background(), blockJob(402), 0, Exact).Wait(context.Background()); o.Err != nil {
 		t.Fatalf("second unique job failed: %v", o.Err)
 	}
 	if got := calls.Load(); got != 2 {
@@ -521,7 +520,7 @@ func TestSchedulerStress(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < submitsPer; i++ {
 				ctx, cancel := context.WithCancel(context.Background())
-				tk := s.SubmitPriority(ctx, jobs[r.Intn(len(jobs))], r.Intn(3))
+				tk := s.Submit(ctx, jobs[r.Intn(len(jobs))], r.Intn(3), Exact)
 				switch r.Intn(4) {
 				case 0: // abandon immediately
 					cancel()
@@ -582,8 +581,8 @@ func TestResolvedStateCarriesOutcome(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 300; i++ {
 		job := blockJob(5000 + i)
-		first := s.Submit(context.Background(), job)
-		joiner := s.Submit(context.Background(), job)
+		first := s.Submit(context.Background(), job, 0, Exact)
+		joiner := s.Submit(context.Background(), job, 0, Exact)
 		wg.Add(2)
 		go poll(first, &wg)
 		go poll(joiner, &wg)
@@ -591,7 +590,7 @@ func TestResolvedStateCarriesOutcome(t *testing.T) {
 			// A queued job whose only submitter cancels resolves as
 			// Cancelled through the drop path.
 			ctx, cancel := context.WithCancel(context.Background())
-			dropped := s.Submit(ctx, blockJob(9000+i))
+			dropped := s.Submit(ctx, blockJob(9000+i), 0, Exact)
 			wg.Add(1)
 			go poll(dropped, &wg)
 			cancel()

@@ -60,7 +60,7 @@ func TestSchedulerGrantPolicy(t *testing.T) {
 			return spec.Run(rs)
 		})
 		defer s.Close()
-		if out := s.Submit(context.Background(), rs).Wait(context.Background()); out.Err != nil {
+		if out := s.Submit(context.Background(), rs, 0, Exact).Wait(context.Background()); out.Err != nil {
 			t.Fatalf("setting %d: %v", setting, out.Err)
 		}
 		mu.Lock()
@@ -91,14 +91,14 @@ func TestGrantedJobSharesSerialKey(t *testing.T) {
 	defer s.Close()
 	before := simCount.Load()
 	rs := counterJob(100)
-	if out := s.Submit(context.Background(), rs).Wait(context.Background()); out.Err != nil {
+	if out := s.Submit(context.Background(), rs, 0, Exact).Wait(context.Background()); out.Err != nil {
 		t.Fatal(out.Err)
 	}
 	ran := simCount.Load() - before
 	if ran != 100 {
 		t.Fatalf("first run simulated %d rank bodies, want 100", ran)
 	}
-	if out := s.Submit(context.Background(), rs).Wait(context.Background()); out.Err != nil {
+	if out := s.Submit(context.Background(), rs, 0, Exact).Wait(context.Background()); out.Err != nil {
 		t.Fatal(out.Err)
 	}
 	if again := simCount.Load() - before; again != ran {

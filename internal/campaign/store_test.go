@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,7 +20,7 @@ import (
 var _ Store = (*DirStore)(nil)
 
 // TestStoreServesAcrossEngines is the cross-process cache contract,
-// modeled with two engines sharing one directory: the first engine
+// modeled with two schedulers sharing one directory: the first one
 // simulates and writes through; a second (fresh-process stand-in) serves
 // the same jobs entirely from the store, with zero fresh simulations and
 // results identical to the originals — including the per-kind trace sums
@@ -32,30 +33,30 @@ func TestStoreServesAcrossEngines(t *testing.T) {
 	jobs := []spec.RunSpec{counterJob(1), counterJob(2)}
 
 	before := simCount.Load()
-	e1 := NewWithStore(2, st)
-	first := e1.Run(jobs)
+	sched1 := NewScheduler(2, st)
+	first := sched1.Run(context.Background(), jobs, Exact)
 	for i, o := range first {
 		if o.Err != nil {
 			t.Fatalf("job %d: %v", i, o.Err)
 		}
 	}
 	if got := simCount.Load() - before; got != 3 {
-		t.Fatalf("first engine executed on %d ranks, want 3", got)
+		t.Fatalf("first scheduler executed on %d ranks, want 3", got)
 	}
-	if s := e1.Stats(); s.Misses != 2 || s.StoreHits != 0 || s.StoreFaults != 0 {
-		t.Errorf("first engine stats = %+v, want 2 misses, no store hits/faults", s)
+	if s := sched1.Stats(); s.Misses != 2 || s.StoreHits != 0 || s.StoreFaults != 0 {
+		t.Errorf("first scheduler stats = %+v, want 2 misses, no store hits/faults", s)
 	}
 	if n, err := st.Len(); err != nil || n != 2 {
 		t.Fatalf("store holds %d records (err %v), want 2", n, err)
 	}
 
-	e2 := NewWithStore(2, st)
-	second := e2.Run(jobs)
+	sched2 := NewScheduler(2, st)
+	second := sched2.Run(context.Background(), jobs, Exact)
 	if got := simCount.Load() - before; got != 3 {
-		t.Errorf("second engine re-simulated: %d ranks executed, want still 3", got)
+		t.Errorf("second scheduler re-simulated: %d ranks executed, want still 3", got)
 	}
-	if s := e2.Stats(); s.StoreHits != 2 || s.Misses != 0 {
-		t.Errorf("second engine stats = %+v, want 2 store hits and 0 misses", s)
+	if s := sched2.Stats(); s.StoreHits != 2 || s.Misses != 0 {
+		t.Errorf("second scheduler stats = %+v, want 2 store hits and 0 misses", s)
 	}
 	for i := range jobs {
 		a, b := first[i].Result, second[i].Result
@@ -86,21 +87,21 @@ func TestKeepTraceBypassesStore(t *testing.T) {
 	job := counterJob(1)
 	job.KeepTrace = true
 
-	e := NewWithStore(2, st)
-	if out := e.Run([]spec.RunSpec{job}); out[0].Err != nil {
+	sched := NewScheduler(2, st)
+	if out := sched.Run(context.Background(), []spec.RunSpec{job}, Exact); out[0].Err != nil {
 		t.Fatal(out[0].Err)
 	}
 	if n, _ := st.Len(); n != 0 {
 		t.Errorf("KeepTrace job persisted %d records, want 0", n)
 	}
 	// In-process memo still applies.
-	e.Run([]spec.RunSpec{job})
-	if s := e.Stats(); s.Hits != 1 || s.Misses != 1 {
+	sched.Run(context.Background(), []spec.RunSpec{job}, Exact)
+	if s := sched.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss", s)
 	}
-	// A fresh engine must re-simulate.
+	// A fresh scheduler must re-simulate.
 	before := simCount.Load()
-	NewWithStore(2, st).Run([]spec.RunSpec{job})
+	NewScheduler(2, st).Run(context.Background(), []spec.RunSpec{job}, Exact)
 	if simCount.Load() == before {
 		t.Error("KeepTrace job served from store instead of re-simulating")
 	}
@@ -114,8 +115,8 @@ func TestErrorsNotPersisted(t *testing.T) {
 	}
 	bad := spec.RunSpec{Benchmark: "no-such-kernel", Class: bench.Tiny,
 		Cluster: machine.MustGet("ClusterA"), Ranks: 1}
-	e := NewWithStore(2, st)
-	if out := e.Run([]spec.RunSpec{bad}); out[0].Err == nil {
+	sched := NewScheduler(2, st)
+	if out := sched.Run(context.Background(), []spec.RunSpec{bad}, Exact); out[0].Err == nil {
 		t.Fatal("bad job succeeded")
 	}
 	if n, _ := st.Len(); n != 0 {
@@ -124,7 +125,7 @@ func TestErrorsNotPersisted(t *testing.T) {
 }
 
 // TestCorruptRecordRepaired truncates a persisted record and checks the
-// next engine counts a fault, re-simulates, and rewrites a good record.
+// next scheduler counts a fault, re-simulates, and rewrites a good record.
 func TestCorruptRecordRepaired(t *testing.T) {
 	dir := t.TempDir()
 	st, err := NewDirStore(dir)
@@ -132,7 +133,7 @@ func TestCorruptRecordRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := counterJob(1)
-	if out := NewWithStore(1, st).Run([]spec.RunSpec{job}); out[0].Err != nil {
+	if out := NewScheduler(1, st).Run(context.Background(), []spec.RunSpec{job}, Exact); out[0].Err != nil {
 		t.Fatal(out[0].Err)
 	}
 	var file string
@@ -149,11 +150,11 @@ func TestCorruptRecordRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := NewWithStore(1, st)
-	if out := e.Run([]spec.RunSpec{job}); out[0].Err != nil {
+	sched := NewScheduler(1, st)
+	if out := sched.Run(context.Background(), []spec.RunSpec{job}, Exact); out[0].Err != nil {
 		t.Fatal(out[0].Err)
 	}
-	if s := e.Stats(); s.StoreFaults == 0 || s.Misses != 1 {
+	if s := sched.Stats(); s.StoreFaults == 0 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want a recorded fault and one fresh simulation", s)
 	}
 	if rec, ok, err := st.Get(Key(job)); err != nil || !ok || rec.Bench != job.Benchmark {
@@ -174,7 +175,7 @@ func TestZeroLengthRecordSelfHeals(t *testing.T) {
 	}
 	job := counterJob(1)
 	key := Key(job)
-	if out := NewWithStore(1, st).Run([]spec.RunSpec{job}); out[0].Err != nil {
+	if out := NewScheduler(1, st).Run(context.Background(), []spec.RunSpec{job}, Exact); out[0].Err != nil {
 		t.Fatal(out[0].Err)
 	}
 	path := filepath.Join(dir, key[3:5], key+".json")
@@ -188,11 +189,11 @@ func TestZeroLengthRecordSelfHeals(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("zero-length record not removed on Get (stat err %v)", err)
 	}
-	e := NewWithStore(1, st)
-	if out := e.Run([]spec.RunSpec{job}); out[0].Err != nil {
+	sched := NewScheduler(1, st)
+	if out := sched.Run(context.Background(), []spec.RunSpec{job}, Exact); out[0].Err != nil {
 		t.Fatal(out[0].Err)
 	}
-	if s := e.Stats(); s.Misses != 1 || s.StoreFaults != 0 {
+	if s := sched.Stats(); s.Misses != 1 || s.StoreFaults != 0 {
 		t.Errorf("stats = %+v, want one quiet miss and no fault for a zero-length record", s)
 	}
 	if rec, ok, err := st.Get(key); err != nil || !ok || rec.Bench != job.Benchmark {
@@ -211,7 +212,7 @@ func TestCorruptRecordRemovedOnGet(t *testing.T) {
 	}
 	job := counterJob(1)
 	key := Key(job)
-	if out := NewWithStore(1, st).Run([]spec.RunSpec{job}); out[0].Err != nil {
+	if out := NewScheduler(1, st).Run(context.Background(), []spec.RunSpec{job}, Exact); out[0].Err != nil {
 		t.Fatal(out[0].Err)
 	}
 	path := filepath.Join(dir, key[3:5], key+".json")
@@ -263,7 +264,7 @@ func TestTruncatedTraceSumsDegradeToMiss(t *testing.T) {
 	}
 	job := counterJob(2)
 	key := Key(job)
-	if out := NewWithStore(1, st).Run([]spec.RunSpec{job}); out[0].Err != nil {
+	if out := NewScheduler(1, st).Run(context.Background(), []spec.RunSpec{job}, Exact); out[0].Err != nil {
 		t.Fatal(out[0].Err)
 	}
 	rec, ok, err := st.Get(key)
@@ -275,15 +276,15 @@ func TestTruncatedTraceSumsDegradeToMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := NewWithStore(1, st)
-	outs := e.Run([]spec.RunSpec{job})
+	sched := NewScheduler(1, st)
+	outs := sched.Run(context.Background(), []spec.RunSpec{job}, Exact)
 	if outs[0].Err != nil {
 		t.Fatal(outs[0].Err)
 	}
 	if got := outs[0].Result.Trace.Ranks(); got != 2 {
 		t.Errorf("reconstructed trace covers %d ranks, want 2", got)
 	}
-	if s := e.Stats(); s.Misses != 1 || s.StoreHits != 0 {
+	if s := sched.Stats(); s.Misses != 1 || s.StoreHits != 0 {
 		t.Errorf("stats = %+v, want the malformed record treated as a miss", s)
 	}
 }
@@ -314,8 +315,8 @@ func init() {
 }
 
 // TestRunSpawnsBoundedGoroutines submits a 48-job batch on a 2-worker
-// engine and samples the process goroutine count while the first jobs
-// are stalled inside the simulator. The engine must spawn at most
+// scheduler and samples the process goroutine count while the first jobs
+// are stalled inside the simulator. The scheduler must spawn at most
 // `workers` executor goroutines — not one parked goroutine per fresh job,
 // which is what a 10k-job scenario batch would otherwise pay.
 func TestRunSpawnsBoundedGoroutines(t *testing.T) {
@@ -331,7 +332,7 @@ func TestRunSpawnsBoundedGoroutines(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	done := make(chan []Outcome, 1)
-	go func() { done <- New(2).Run(jobs) }()
+	go func() { done <- NewScheduler(2, nil).Run(context.Background(), jobs, Exact) }()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for gateStarted.Load() < 2 {

@@ -6,7 +6,7 @@
 // Each experiment is a built-in scenario: its job plan (benchmarks,
 // clusters, rank/clock axes, pinned jobs) is declared once, as a
 // scenario.Scenario value in scenarios.go. Running an experiment
-// enqueues that scenario's expansion on the campaign engine, then
+// enqueues that scenario's expansion on the campaign scheduler, then
 // renders the paper's bespoke tables and plots from the same expansion:
 // the renderer reads each sweep's results (grouped by cluster and
 // benchmark) and each pinned job's result through the shared scenario
@@ -16,12 +16,12 @@
 // output directory. cmd/figures is the command-line front end; the
 // root-level benchmark harness drives the same functions.
 //
-// All simulations go through one campaign engine per context, so jobs
-// run in parallel on the host and every (benchmark, cluster, class,
+// All simulations go through one campaign.Scheduler per context, so
+// jobs run in parallel on the host and every (benchmark, cluster, class,
 // ranks) point is simulated at most once per process no matter how many
 // experiments ask for it (Fig. 5, Fig. 6, and the scaling-case table all
-// share the multi-node sweeps). Attach a persistent store to the engine
-// and results survive the process too.
+// share the multi-node sweeps). Attach a persistent store to the
+// scheduler and results survive the process too.
 package figures
 
 import (
@@ -36,7 +36,7 @@ import (
 	"github.com/spechpc/spechpc-sim/internal/spec"
 )
 
-// Context carries experiment settings and the campaign engine all
+// Context carries experiment settings and the campaign scheduler all
 // experiments share.
 type Context struct {
 	// OutDir receives CSV artifacts ("" = no files).
@@ -48,25 +48,19 @@ type Context struct {
 	// Clusters names the registered clusters the experiments run on;
 	// empty means the paper's two systems.
 	Clusters []string
-	// Engine executes and memoizes every simulation (nil = a fresh
-	// engine sized to the host core count).
-	Engine *campaign.Engine
+	// Scheduler executes and memoizes every simulation (nil = a fresh
+	// scheduler sized to the host core count).
+	Scheduler *campaign.Scheduler
 }
 
 // NewContext creates a context writing to stdout with a host-sized
 // worker pool.
 func NewContext(outDir string, quick bool) *Context {
-	return NewContextParallel(outDir, quick, 0)
-}
-
-// NewContextParallel creates a context whose campaign engine runs at
-// most workers simulations at once (<= 0 = host core count).
-func NewContextParallel(outDir string, quick bool, workers int) *Context {
 	return &Context{
-		OutDir: outDir,
-		Quick:  quick,
-		W:      os.Stdout,
-		Engine: campaign.New(workers),
+		OutDir:    outDir,
+		Quick:     quick,
+		W:         os.Stdout,
+		Scheduler: campaign.NewScheduler(0, nil),
 	}
 }
 
@@ -77,11 +71,11 @@ func (ctx *Context) out() io.Writer {
 	return ctx.W
 }
 
-func (ctx *Context) engine() *campaign.Engine {
-	if ctx.Engine == nil {
-		ctx.Engine = campaign.New(0)
+func (ctx *Context) scheduler() *campaign.Scheduler {
+	if ctx.Scheduler == nil {
+		ctx.Scheduler = campaign.NewScheduler(0, nil)
 	}
-	return ctx.Engine
+	return ctx.Scheduler
 }
 
 // emitPlot draws a plot to the writer and saves its series as CSV.
@@ -101,11 +95,11 @@ func (ctx *Context) emitTable(t *report.Table, csv string) error {
 }
 
 // planner returns the shared scenario planner view of the context: same
-// engine, same quick mode, same default clusters, so a scenario's
+// scheduler, same quick mode, same default clusters, so a scenario's
 // expanded plan is exactly the job set the renderers request.
 func (ctx *Context) planner() *scenario.Planner {
 	return &scenario.Planner{
-		Engine:          ctx.engine(),
+		Scheduler:       ctx.scheduler(),
 		Quick:           ctx.Quick,
 		DefaultClusters: ctx.Clusters,
 	}

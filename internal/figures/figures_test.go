@@ -90,11 +90,11 @@ func TestTextTables(t *testing.T) {
 	// TextAcceleration draws from the same node sweeps TextEfficiency
 	// already paid for; the campaign memo must serve it without any
 	// fresh simulation.
-	afterEff := ctx.Engine.Stats()
+	afterEff := ctx.Scheduler.Stats()
 	if err := TextAcceleration(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := ctx.Engine.Stats(); got.Misses != afterEff.Misses {
+	if got := ctx.Scheduler.Stats(); got.Misses != afterEff.Misses {
 		t.Errorf("TextAcceleration re-simulated node sweeps: misses %d -> %d",
 			afterEff.Misses, got.Misses)
 	}
@@ -170,7 +170,7 @@ func TestFig5CasesFig6(t *testing.T) {
 	if err := Fig5(ctx); err != nil {
 		t.Fatal(err)
 	}
-	after5 := ctx.Engine.Stats()
+	after5 := ctx.Scheduler.Stats()
 	if after5.Misses == 0 {
 		t.Fatal("Fig5 simulated nothing")
 	}
@@ -180,7 +180,7 @@ func TestFig5CasesFig6(t *testing.T) {
 	if err := Fig6(ctx); err != nil {
 		t.Fatal(err)
 	}
-	final := ctx.Engine.Stats()
+	final := ctx.Scheduler.Stats()
 	if final.Misses != after5.Misses {
 		t.Errorf("TextCases/Fig6 re-simulated jobs: misses %d -> %d",
 			after5.Misses, final.Misses)

@@ -11,7 +11,7 @@ import (
 )
 
 // Fig5 runs the Fig. 5 experiment: enqueue the multi-node scenario
-// plan, then render. The engine memoizes every point, so Fig5, Fig6,
+// plan, then render. The scheduler memoizes every point, so Fig5, Fig6,
 // and the scaling-case table simulate each (benchmark, cluster, ranks)
 // job at most once per process.
 func Fig5(ctx *Context) error { return ctx.runPlan(multiNodeScenario, renderFig5) }

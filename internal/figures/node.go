@@ -52,7 +52,7 @@ func plotRanks(plot *report.Plot, g scenario.ClusterResults, f func(machine.Usag
 }
 
 // Fig1 runs the Fig. 1 experiment: enqueue the scenario plan on the
-// campaign engine, then render.
+// campaign scheduler, then render.
 func Fig1(ctx *Context) error { return ctx.runPlan(fig1Scenario, renderFig1) }
 
 // renderFig1 renders node-level speedup and total-vs-AVX performance for

@@ -8,7 +8,7 @@ import (
 
 // TestScenarioPlansCoverRenders pins the planner contract of every
 // built-in experiment: once the experiment's enqueued scenario has
-// finished, its renderer runs entirely from the engine memo — zero
+// finished, its renderer runs entirely from the scheduler memo — zero
 // fresh simulations. A failure means a renderer requested a job outside
 // its scenario's expansion. One context is shared across
 // experiments (exactly like a cmd/figures run), so overlapping plans pay
@@ -37,17 +37,17 @@ func TestScenarioPlansCoverRenders(t *testing.T) {
 		for _, tk := range tickets {
 			tk.Wait(context.Background())
 		}
-		warmed := ctx.Engine.Stats()
+		warmed := ctx.Scheduler.Stats()
 		if err := e.Run(ctx); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
-		final := ctx.Engine.Stats()
+		final := ctx.Scheduler.Stats()
 		if final.Misses != warmed.Misses {
 			t.Errorf("%s: renderer simulated %d jobs outside the scenario plan",
 				e.ID, final.Misses-warmed.Misses)
 		}
 	}
-	if ctx.Engine.Stats().Misses == 0 {
+	if ctx.Scheduler.Stats().Misses == 0 {
 		t.Fatal("no experiment simulated anything")
 	}
 }

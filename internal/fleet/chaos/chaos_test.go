@@ -266,7 +266,7 @@ func TestFleetOutputMatchesSingleProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := &scenario.Planner{Engine: campaign.New(2), Quick: true}
+	local := &scenario.Planner{Scheduler: campaign.NewScheduler(2, nil), Quick: true}
 	var buf bytes.Buffer
 	if err := local.Execute(sc, &buf, t.TempDir()); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func TestExecuteGolden(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var sb strings.Builder
-	if err := (&Planner{Engine: campaign.New(2)}).Execute(sc, &sb, dir); err != nil {
+	if err := (&Planner{Scheduler: campaign.NewScheduler(2, nil)}).Execute(sc, &sb, dir); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)

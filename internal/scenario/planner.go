@@ -15,13 +15,13 @@ import (
 )
 
 // Planner turns scenarios into campaign batches and artifacts. The zero
-// value works (fresh host-sized engine, paper clusters, full resolution);
-// share one Planner — or at least one Engine — across scenarios so their
-// overlapping jobs memoize.
+// value works (fresh host-sized scheduler, paper clusters, full
+// resolution); share one Planner — or at least one Scheduler — across
+// scenarios so their overlapping jobs memoize.
 type Planner struct {
-	// Engine executes and memoizes every simulation (nil = a fresh
-	// host-sized engine on first use).
-	Engine *campaign.Engine
+	// Scheduler executes and memoizes every simulation (nil = a fresh
+	// host-sized scheduler on first use).
+	Scheduler *campaign.Scheduler
 	// Quick trades sweep resolution for speed (used by tests and CI).
 	Quick bool
 	// DefaultClusters resolves sweeps that name no clusters; empty means
@@ -29,20 +29,12 @@ type Planner struct {
 	DefaultClusters []string
 }
 
-// engine returns the planner's engine, creating one on first use.
-func (p *Planner) engine() *campaign.Engine {
-	if p.Engine == nil {
-		p.Engine = campaign.New(0)
+// scheduler returns the planner's scheduler, creating one on first use.
+func (p *Planner) scheduler() *campaign.Scheduler {
+	if p.Scheduler == nil {
+		p.Scheduler = campaign.NewScheduler(0, nil)
 	}
-	return p.Engine
-}
-
-// engineFor returns the engine view carrying a scenario's query mode:
-// the shared engine itself for exact studies, a Fast-mode view of the
-// same scheduler for surrogate-eligible ones. Both views share one
-// memo, store, and worker pool.
-func (p *Planner) engineFor(sc *Scenario) *campaign.Engine {
-	return p.engine().WithMode(sc.Mode)
+	return p.Scheduler
 }
 
 // Clusters resolves a sweep's cluster names through the machine
@@ -91,7 +83,7 @@ func benchNames(names []string) []string {
 // (cluster-major, then benchmark, rank, clock). It is the only code that
 // turns a scenario into jobs: both renderers read their results from it
 // through SweepResults and JobResult, so the concatenation of the parts
-// is exactly the set of simulations rendering asks the engine for.
+// is exactly the set of simulations rendering asks the scheduler for.
 // Keeping the parts separate lets callers — the HTTP service above all —
 // track and stream per-sweep completion.
 func (p *Planner) ExpandParts(sc *Scenario) ([][]spec.RunSpec, []spec.RunSpec, error) {
@@ -179,9 +171,9 @@ func (p *Planner) Expand(sc *Scenario) ([]spec.RunSpec, error) {
 }
 
 // Enqueue expands a scenario and submits its whole batch to the
-// engine's asynchronous scheduler without waiting: one ticket per
-// expanded job, in plan order. Jobs start executing immediately on the
-// scheduler's worker pool; later engine requests for the same jobs —
+// scheduler under the scenario's query mode without waiting: one ticket
+// per expanded job, in plan order. Jobs start executing immediately on
+// the scheduler's worker pool; later requests for the same jobs —
 // from a bespoke figure renderer, the generic one, or a concurrent HTTP
 // request — coalesce onto the in-flight simulations instead of
 // re-running them. Per-job failures are memoized, not returned: the
@@ -196,10 +188,10 @@ func (p *Planner) Enqueue(ctx context.Context, sc *Scenario) ([]*campaign.Ticket
 	if err != nil {
 		return nil, err
 	}
-	e := p.engineFor(sc)
+	s := p.scheduler()
 	tickets := make([]*campaign.Ticket, len(jobs))
 	for i, rs := range jobs {
-		tickets[i] = e.Submit(ctx, rs)
+		tickets[i] = s.Submit(ctx, rs, 0, sc.Mode)
 	}
 	return tickets, nil
 }
@@ -210,8 +202,8 @@ func (p *Planner) Enqueue(ctx context.Context, sc *Scenario) ([]*campaign.Ticket
 // empty) and each pinned job as a summary table. Tables and plots go to
 // w. Rendering streams: each sweep is drawn as soon as its own results
 // land — the first sweep's plots appear while later sweeps are still
-// simulating, since the renderer's engine requests wait only on the
-// jobs they need.
+// simulating, since the renderer's requests wait only on the jobs they
+// need.
 func (p *Planner) Execute(sc *Scenario, w io.Writer, outDir string) error {
 	return p.ExecuteCtx(context.Background(), sc, w, outDir)
 }
@@ -227,7 +219,7 @@ func (p *Planner) ExecuteCtx(ctx context.Context, sc *Scenario, w io.Writer, out
 }
 
 // Render draws a scenario's artifacts without enqueueing its batch
-// first: each sweep's engine requests wait on — and coalesce with —
+// first: each sweep's requests wait on — and coalesce with —
 // whatever is already submitted or memoized, simulating on demand
 // otherwise. Callers that submitted the expansion themselves (the HTTP
 // service tracks per-sweep tickets) use this to avoid double-claiming
@@ -282,9 +274,9 @@ type ClusterResults struct {
 }
 
 // SweepResults runs sweep si of the scenario's expansion through the
-// engine — joining the tickets Enqueue already submitted, simulating on
-// demand otherwise — and groups the results by cluster, then benchmark,
-// in expansion order. Engine requests ride ctx, so an abandoned
+// scheduler — joining the tickets Enqueue already submitted, simulating
+// on demand otherwise — and groups the results by cluster, then
+// benchmark, in expansion order. Requests ride ctx, so an abandoned
 // scenario's renderer can never pin (or resurrect) jobs its
 // cancellation released.
 func (p *Planner) SweepResults(ctx context.Context, sc *Scenario, si int) ([]ClusterResults, error) {
@@ -296,7 +288,7 @@ func (p *Planner) SweepResults(ctx context.Context, sc *Scenario, si int) ([]Clu
 		return nil, fmt.Errorf("scenario %s: no sweep %d", sc.Name, si+1)
 	}
 	jobs := sweeps[si]
-	results, err := campaign.Results(p.engineFor(sc).RunCtx(ctx, jobs))
+	results, err := campaign.Results(p.scheduler().Run(ctx, jobs, sc.Mode))
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: sweep %d: %w", sc.Name, si+1, err)
 	}
@@ -326,7 +318,7 @@ func (p *Planner) SweepResults(ctx context.Context, sc *Scenario, si int) ([]Clu
 }
 
 // JobResult runs pinned job i of the scenario's expansion through the
-// engine, joining its ticket when Enqueue already submitted it.
+// scheduler, joining its ticket when Enqueue already submitted it.
 func (p *Planner) JobResult(ctx context.Context, sc *Scenario, i int) (spec.RunResult, error) {
 	_, pinned, err := p.ExpandParts(sc)
 	if err != nil {
@@ -335,7 +327,7 @@ func (p *Planner) JobResult(ctx context.Context, sc *Scenario, i int) (spec.RunR
 	if i < 0 || i >= len(pinned) {
 		return spec.RunResult{}, fmt.Errorf("scenario %s: no job %d", sc.Name, i+1)
 	}
-	out := p.engineFor(sc).RunCtx(ctx, pinned[i:i+1])[0]
+	out := p.scheduler().Run(ctx, pinned[i:i+1], sc.Mode)[0]
 	if out.Err != nil {
 		return spec.RunResult{}, fmt.Errorf("scenario %s: job %d: %w", sc.Name, i+1, out.Err)
 	}

@@ -2,7 +2,7 @@
 // describes a study — which benchmarks, on which clusters, over which
 // rank/clock axes, rendered through which metrics — as plain data, and a
 // Planner expands it into a campaign batch, executes it on the shared
-// engine, and renders tables, ASCII plots, and CSV artifacts.
+// campaign.Scheduler, and renders tables, ASCII plots, and CSV artifacts.
 //
 // Scenarios come from two places. The built-in figures of the paper
 // (internal/figures) define their job plans as Scenario values and keep
@@ -14,7 +14,7 @@
 // (Planner.SweepResults and Planner.JobResult).
 //
 // Every simulation a scenario requests flows through one
-// campaign.Engine, so jobs parallelize across host cores, duplicate jobs
+// campaign.Scheduler, so jobs parallelize across host cores, duplicate jobs
 // within and across scenarios are simulated at most once per process,
 // and — with a persistent store attached — at most once per cache
 // directory, across processes.
@@ -229,7 +229,7 @@ type Scenario struct {
 	Jobs   []Job
 	// Mode selects the query tier for every run the scenario requests:
 	// campaign.Exact (zero value) always simulates, campaign.Fast serves
-	// in-tolerance surrogate answers when the planner's engine has a
+	// in-tolerance surrogate answers when the planner's scheduler has a
 	// predictor attached and falls back to exact simulation otherwise.
 	Mode campaign.Mode
 }

@@ -119,7 +119,7 @@ func TestExpandDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Planner{Engine: campaign.New(2)}
+	p := &Planner{Scheduler: campaign.NewScheduler(2, nil)}
 	jobs, err := p.Expand(sc)
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestExpandAppliesQuickDefaults(t *testing.T) {
 }
 
 // TestExecuteGenericRenderer runs a small scenario end to end: plots on
-// the writer, CSV artifacts on disk, one engine simulation per unique
+// the writer, CSV artifacts on disk, one simulation per unique
 // job, and a frequency sweep rendered over the clock axis.
 func TestExecuteGenericRenderer(t *testing.T) {
 	sc, err := LoadFile(writeScenario(t, sampleDoc))
@@ -201,7 +201,7 @@ func TestExecuteGenericRenderer(t *testing.T) {
 	}
 	outDir := t.TempDir()
 	var sb strings.Builder
-	p := &Planner{Engine: campaign.New(4)}
+	p := &Planner{Scheduler: campaign.NewScheduler(4, nil)}
 	if err := p.Execute(sc, &sb, outDir); err != nil {
 		t.Fatal(err)
 	}
@@ -236,27 +236,27 @@ func TestExecuteGenericRenderer(t *testing.T) {
 		t.Errorf("clock sweep CSV header = %q", strings.SplitN(string(data), "\n", 2)[0])
 	}
 	// Execute warmed every job once; re-running is all memo hits.
-	st := p.Engine.Stats()
+	st := p.Scheduler.Stats()
 	if st.Misses == 0 {
 		t.Fatal("nothing simulated")
 	}
 	if err := p.Execute(sc, &strings.Builder{}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Engine.Stats(); got.Misses != st.Misses {
+	if got := p.Scheduler.Stats(); got.Misses != st.Misses {
 		t.Errorf("re-execution simulated fresh jobs: misses %d -> %d", st.Misses, got.Misses)
 	}
 }
 
 // TestWarmCoversRender pins the core planner contract: once the
-// enqueued expansion has finished, the renderer's engine requests are
+// enqueued expansion has finished, the renderer's requests are
 // served entirely from the memo.
 func TestWarmCoversRender(t *testing.T) {
 	sc, err := LoadFile(writeScenario(t, sampleDoc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &Planner{Engine: campaign.New(4)}
+	p := &Planner{Scheduler: campaign.NewScheduler(4, nil)}
 	tickets, err := p.Enqueue(context.Background(), sc)
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +264,7 @@ func TestWarmCoversRender(t *testing.T) {
 	for _, tk := range tickets {
 		tk.Wait(context.Background())
 	}
-	st := p.Engine.Stats()
+	st := p.Scheduler.Stats()
 	for si := range sc.Sweeps {
 		if err := p.renderSweep(context.Background(), sc, si, &strings.Builder{}, ""); err != nil {
 			t.Fatal(err)
@@ -273,7 +273,7 @@ func TestWarmCoversRender(t *testing.T) {
 	if err := p.renderJobs(context.Background(), sc, &strings.Builder{}, ""); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Engine.Stats(); got.Misses != st.Misses {
+	if got := p.Scheduler.Stats(); got.Misses != st.Misses {
 		t.Errorf("render simulated %d jobs the expansion did not plan", got.Misses-st.Misses)
 	}
 }

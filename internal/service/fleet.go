@@ -61,7 +61,7 @@ func (s *Server) handleFleetRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "KeepTrace jobs are not dispatchable")
 		return
 	}
-	ticket := s.sched.Submit(r.Context(), req.Spec)
+	ticket := s.sched.Submit(r.Context(), req.Spec, 0, campaign.Exact)
 	out := ticket.Wait(r.Context())
 	switch {
 	case out.Err == nil:

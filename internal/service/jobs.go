@@ -194,7 +194,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		mode = campaign.Fast
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	ticket := s.sched.SubmitMode(ctx, rs, jr.Priority, mode)
+	ticket := s.sched.Submit(ctx, rs, jr.Priority, mode)
 	if degrade {
 		if _, answered := ticket.Surrogate(); !answered {
 			ticket.Cancel()

@@ -203,17 +203,17 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 	}
 	// Submissions carry the scenario's query mode, so a "fast" study is
 	// answered from the surrogate wherever its models are tight enough
-	// and simulates only the refusals (the renderer's own engine requests
+	// and simulates only the refusals (the renderer's own requests
 	// coalesce onto these tickets either way).
 	for _, batch := range sweepBatches {
 		tickets := make([]*campaign.Ticket, len(batch))
 		for i, rs := range batch {
-			tickets[i] = s.sched.SubmitMode(ctx, rs, 0, sc.Mode)
+			tickets[i] = s.sched.Submit(ctx, rs, 0, sc.Mode)
 		}
 		run.sweeps = append(run.sweeps, tickets)
 	}
 	for _, rs := range pinnedBatch {
-		run.pinned = append(run.pinned, s.sched.SubmitMode(ctx, rs, 0, sc.Mode))
+		run.pinned = append(run.pinned, s.sched.Submit(ctx, rs, 0, sc.Mode))
 	}
 
 	s.mu.Lock()
@@ -222,7 +222,7 @@ func (s *Server) handleSubmitScenario(w http.ResponseWriter, r *http.Request) {
 	s.evictRunsLocked()
 	s.mu.Unlock()
 
-	// The renderer's engine requests coalesce onto the tickets above and
+	// The renderer's requests coalesce onto the tickets above and
 	// block per sweep, so output and CSV artifacts appear incrementally.
 	// Render (not ExecuteCtx): the expansion is already submitted above,
 	// and the renderer shares the run's context, so DELETE stops it at
@@ -378,7 +378,7 @@ func (s *Server) Close() {
 		run.cancel()
 	}
 	for _, run := range runs {
-		<-run.renderDone // renderers stop at the next engine wait
+		<-run.renderDone // renderers stop at the next scheduler wait
 		if s.opts.ArtifactDir == "" && run.artDir != "" {
 			os.RemoveAll(run.artDir)
 		}

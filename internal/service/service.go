@@ -99,9 +99,8 @@ type Options struct {
 // Server serves the campaign scheduler over HTTP. Construct with New;
 // all methods are safe for concurrent use.
 type Server struct {
-	sched  *campaign.Scheduler
-	engine *campaign.Engine
-	opts   Options
+	sched *campaign.Scheduler
+	opts  Options
 
 	mu       sync.Mutex
 	jobs     map[string]*jobSub
@@ -134,7 +133,6 @@ func New(sched *campaign.Scheduler, opts Options) *Server {
 	}
 	return &Server{
 		sched:     sched,
-		engine:    campaign.NewWithScheduler(sched),
 		opts:      opts,
 		jobs:      map[string]*jobSub{},
 		runs:      map[string]*scenarioRun{},
@@ -229,12 +227,12 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// planner builds a fresh planner view over the shared engine; scenario
-// expansion through it lands on the scheduler every HTTP submission
-// shares.
+// planner builds a fresh planner view over the shared scheduler, so
+// scenario expansion through it lands on the scheduler every HTTP
+// submission shares.
 func (s *Server) planner() *scenario.Planner {
 	return &scenario.Planner{
-		Engine:          s.engine,
+		Scheduler:       s.sched,
 		Quick:           s.opts.Quick,
 		DefaultClusters: s.opts.DefaultClusters,
 	}
@@ -326,14 +324,12 @@ type statszCampaign struct {
 	SurrogateRefused int `json:"surrogate_refused"`
 }
 
-// statszSurrogate is the model-inventory view of the attached index.
+// statszSurrogate is the model-inventory view of the attached index;
+// answer counts live in the campaign block's surrogate_* fields.
 type statszSurrogate struct {
 	Models   int   `json:"models"`
 	Families int   `json:"families"`
 	Observed int64 `json:"observed"`
-	Hits     int64 `json:"hits"`
-	Refused  int64 `json:"refused"`
-	NoModel  int64 `json:"no_model"`
 }
 
 type statszStore struct {
@@ -380,10 +376,8 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	}
 	if idx := s.opts.Surrogate; idx != nil {
 		fitted, families := idx.Models()
-		hits, refused, noModel, observed := idx.Counters()
 		resp.Surrogate = &statszSurrogate{
-			Models: fitted, Families: families, Observed: observed,
-			Hits: hits, Refused: refused, NoModel: noModel,
+			Models: fitted, Families: families, Observed: idx.Observed(),
 		}
 	}
 	pt := psim.Snapshot()

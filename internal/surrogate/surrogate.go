@@ -108,9 +108,6 @@ type Index struct {
 	mu       sync.RWMutex
 	families map[string]*family
 
-	hits     atomic.Int64
-	refused  atomic.Int64
-	noModel  atomic.Int64
 	observed atomic.Int64
 }
 
@@ -192,16 +189,15 @@ func (x *Index) Lookup(rs spec.RunSpec) (*Model, bool) {
 
 // Predict implements campaign.Predictor: it answers from the fitted
 // family model, or reports campaign.ErrNoModel / campaign.ErrRefused so
-// the scheduler falls back to the exact tier (counting the reason).
+// the scheduler falls back to the exact tier. The scheduler counts the
+// outcomes (campaign.Stats' Surrogate* fields).
 func (x *Index) Predict(rs spec.RunSpec) (campaign.Predicted, error) {
 	m, ok := x.Lookup(rs)
 	if !ok {
-		x.noModel.Add(1)
 		return campaign.Predicted{}, campaign.ErrNoModel
 	}
 	p, err := m.Predict(rs.Ranks, rs.ClockHz)
 	if err != nil {
-		x.refused.Add(1)
 		return campaign.Predicted{}, err
 	}
 	maxBound := x.MaxBound
@@ -209,18 +205,13 @@ func (x *Index) Predict(rs spec.RunSpec) (campaign.Predicted, error) {
 		maxBound = DefaultMaxBound
 	}
 	if p.Bound > maxBound {
-		x.refused.Add(1)
 		return campaign.Predicted{}, refusedBoundErr(p.Bound, maxBound)
 	}
-	x.hits.Add(1)
 	return campaign.Predicted{Result: m.synthesize(rs, p), Bound: p.Bound}, nil
 }
 
-// Counters returns the index's own served/refused/no-model/observed
-// totals — the model-side view behind the scheduler's Surrogate* stats.
-func (x *Index) Counters() (hits, refused, noModel, observed int64) {
-	return x.hits.Load(), x.refused.Load(), x.noModel.Load(), x.observed.Load()
-}
+// Observed returns how many exact results Observe has accepted.
+func (x *Index) Observed() int64 { return x.observed.Load() }
 
 // Models returns how many families currently hold a fitted model (and
 // how many families exist at all) — the /statsz inventory numbers.

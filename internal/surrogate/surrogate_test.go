@@ -215,9 +215,6 @@ func TestIndexPredictNoModelAndSparse(t *testing.T) {
 	if _, err := idx.Predict(fam); !errors.Is(err, campaign.ErrNoModel) {
 		t.Errorf("sparse grid: err = %v, want ErrNoModel", err)
 	}
-	if _, _, noModel, _ := idx.Counters(); noModel != 2 {
-		t.Errorf("noModel counter = %d, want 2", noModel)
-	}
 }
 
 func TestIndexPredictSynthesizesFullResult(t *testing.T) {
@@ -268,9 +265,6 @@ func TestIndexMaxBoundRefusal(t *testing.T) {
 	fam.Ranks = 8
 	if _, err := idx.Predict(fam); !errors.Is(err, campaign.ErrRefused) {
 		t.Errorf("over-tolerance model: err = %v, want ErrRefused", err)
-	}
-	if _, refused, _, _ := idx.Counters(); refused != 1 {
-		t.Errorf("refused counter = %d, want 1", refused)
 	}
 }
 

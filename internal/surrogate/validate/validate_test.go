@@ -104,7 +104,7 @@ func TestOutOfHullFallsBackToSimulator(t *testing.T) {
 	for _, res := range results {
 		idx.Observe(res)
 	}
-	_, _, _, seeded := idx.Counters()
+	seeded := idx.Observed()
 
 	sched := campaign.NewScheduler(2, nil)
 	defer sched.Close()
@@ -116,7 +116,7 @@ func TestOutOfHullFallsBackToSimulator(t *testing.T) {
 
 	inHull := base
 	inHull.Ranks = 30 // interior, not a sampled point
-	tk := sched.SubmitMode(ctx, inHull, 0, campaign.Fast)
+	tk := sched.Submit(ctx, inHull, 0, campaign.Fast)
 	out := tk.Wait(ctx)
 	if out.Err != nil {
 		t.Fatalf("in-hull fast query failed: %v", out.Err)
@@ -127,7 +127,7 @@ func TestOutOfHullFallsBackToSimulator(t *testing.T) {
 
 	outOfHull := base
 	outOfHull.Ranks = 73 // one past the 72-rank fitted hull
-	tk = sched.SubmitMode(ctx, outOfHull, 0, campaign.Fast)
+	tk = sched.Submit(ctx, outOfHull, 0, campaign.Fast)
 	out = tk.Wait(ctx)
 	if out.Err != nil {
 		t.Fatalf("out-of-hull fallback simulation failed: %v", out.Err)
@@ -149,7 +149,7 @@ func TestOutOfHullFallsBackToSimulator(t *testing.T) {
 	if st.Misses != 1 {
 		t.Errorf("fresh sims = %d, want exactly the out-of-hull fallback", st.Misses)
 	}
-	if _, _, _, observed := idx.Counters(); observed != seeded+1 {
+	if observed := idx.Observed(); observed != seeded+1 {
 		t.Errorf("observed = %d, want %d (fallback result fed back into the index)", observed, seeded+1)
 	}
 
