@@ -49,7 +49,7 @@ func main() {
 		"intra-job parallel engine workers for multi-node jobs (0 = let the scheduler grant idle cores, -1 = always serial)")
 	flag.Parse()
 
-	stop, err := profiling.StartWith(profiling.Options{
+	stop, err := profiling.Start(profiling.Options{
 		CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile,
 	})
 	if err != nil {

@@ -72,7 +72,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print parallel-engine window statistics to stderr")
 	flag.Parse()
 
-	stop, err := profiling.StartWith(profiling.Options{
+	stop, err := profiling.Start(profiling.Options{
 		CPU: *cpuProfile, Mem: *memProfile, Block: *blockProfile, Mutex: *mutexProfile,
 	})
 	if err != nil {

@@ -27,14 +27,26 @@ type Options struct {
 	Mutex string
 }
 
-// StartWith begins the requested profile collections and returns an
-// idempotent stop function that writes every requested artifact; see
-// Start. Block and mutex rates are restored to off at stop so profiling
-// cost is bounded by the profiled run.
-func StartWith(o Options) (func(), error) {
-	stop, err := Start(o.CPU, o.Mem)
-	if err != nil {
-		return nil, err
+// Start begins the requested profile collections and returns a stop
+// function that writes every requested artifact: it finishes the CPU
+// profile, writes the cumulative allocation profile ("allocs", which
+// includes the live heap) to Mem, and dumps the block and mutex
+// profiles, restoring their rates to off so profiling cost is bounded
+// by the profiled run. The stop function is idempotent and safe to call
+// on both normal and fatal exit paths. A nil error always comes with a
+// non-nil stop function.
+func Start(o Options) (func(), error) {
+	var cpuFile *os.File
+	if o.CPU != "" {
+		f, err := os.Create(o.CPU)
+		if err != nil {
+			return nil, fmt.Errorf("profiling: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("profiling: %w", err)
+		}
+		cpuFile = f
 	}
 	if o.Block != "" {
 		runtime.SetBlockProfileRate(1)
@@ -45,7 +57,16 @@ func StartWith(o Options) (func(), error) {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			stop()
+			if cpuFile != nil {
+				pprof.StopCPUProfile()
+				if err := cpuFile.Close(); err != nil {
+					fmt.Fprintln(os.Stderr, "profiling:", err)
+				}
+			}
+			if o.Mem != "" {
+				runtime.GC() // settle the heap so live objects are accurate
+				writeLookup("allocs", o.Mem)
+			}
 			if o.Block != "" {
 				writeLookup("block", o.Block)
 				runtime.SetBlockProfileRate(0)
@@ -70,50 +91,4 @@ func writeLookup(name, path string) {
 	if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
 		fmt.Fprintln(os.Stderr, "profiling:", err)
 	}
-}
-
-// Start begins CPU profiling if cpuPath is non-empty and returns a stop
-// function that finishes the CPU profile and, if memPath is non-empty,
-// writes the cumulative allocation profile ("allocs", which includes the
-// live heap) there. The stop function is idempotent and safe to call on
-// both normal and fatal exit paths. A nil error always comes with a
-// non-nil stop function.
-func Start(cpuPath, memPath string) (func(), error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, fmt.Errorf("profiling: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("profiling: %w", err)
-		}
-		cpuFile = f
-	}
-	var once sync.Once
-	stop := func() {
-		once.Do(func() {
-			if cpuFile != nil {
-				pprof.StopCPUProfile()
-				if err := cpuFile.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "profiling:", err)
-				}
-			}
-			if memPath == "" {
-				return
-			}
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "profiling:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so live objects are accurate
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "profiling:", err)
-			}
-		})
-	}
-	return stop, nil
 }

@@ -21,7 +21,7 @@ func TestStartWithWritesAllProfiles(t *testing.T) {
 		Block: filepath.Join(dir, "block.out"),
 		Mutex: filepath.Join(dir, "mutex.out"),
 	}
-	stop, err := StartWith(o)
+	stop, err := Start(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestStartWithWritesAllProfiles(t *testing.T) {
 // TestStartWithNothingIsFree checks the zero-value options are a no-op
 // that still returns a callable stop.
 func TestStartWithNothingIsFree(t *testing.T) {
-	stop, err := StartWith(Options{})
+	stop, err := Start(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestStartWithNothingIsFree(t *testing.T) {
 // TestStartWithBadPathFails checks an uncreatable CPU profile path
 // surfaces as an error instead of a silent no-op.
 func TestStartWithBadPathFails(t *testing.T) {
-	if _, err := StartWith(Options{CPU: filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.out")}); err == nil {
+	if _, err := Start(Options{CPU: filepath.Join(t.TempDir(), "no", "such", "dir", "cpu.out")}); err == nil {
 		t.Fatal("uncreatable profile path accepted")
 	}
 }
