@@ -99,7 +99,7 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 		HeatFrac:  heatFrac,
 	}
 
-	rw, rh := maxInt(6, mw/scaleDiv), maxInt(6, mh/scaleDiv)
+	rw, rh := max(6, mw/scaleDiv), max(6, mh/scaleDiv)
 	hy := newHydro(rw, rh, cart)
 	mass0, energy0 := hy.totals(r)
 
@@ -125,11 +125,4 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 		)
 	}
 	return rep, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

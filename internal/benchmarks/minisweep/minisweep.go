@@ -108,7 +108,7 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 
 	// Real sweep state (small): a scaled local block with a few angles
 	// and groups, enough to validate transport physics.
-	sw := newSweeper(maxInt(4, mw/8), maxInt(4, mh/8), maxInt(4, zPerBlock), 2, 2)
+	sw := newSweeper(max(4, mw/8), max(4, mh/8), max(4, zPerBlock), 2, 2)
 
 	// Octants are processed in the real code's fashion: one pair of
 	// opposite-direction octants in flight at a time, their z-blocks
@@ -250,11 +250,4 @@ func octantDir(oct int) (sx, sy int) {
 		sy = -1
 	}
 	return sx, sy
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

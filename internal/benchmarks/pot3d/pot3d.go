@@ -97,9 +97,9 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 	}
 
 	// Real spherical PCG on the scaled pencil.
-	rt := maxInt(4, mtLoc/scaleDiv)
-	rp := maxInt(4, mpLoc/scaleDiv)
-	rr := maxInt(4, cfg.nr/scaleDiv)
+	rt := max(4, mtLoc/scaleDiv)
+	rp := max(4, mpLoc/scaleDiv)
+	rr := max(4, cfg.nr/scaleDiv)
 	s := newSpherical(rr, rt, rp, cart)
 
 	modelX := bench.DoubleBytes(cfg.nr * mpLoc)
@@ -126,11 +126,4 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 			})
 	}
 	return rep, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

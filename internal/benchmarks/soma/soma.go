@@ -96,7 +96,7 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 
 	// Real MC system: a handful of real chains per rank against a small
 	// replicated grid; the global density field is genuinely allreduced.
-	sys := newPolymerSystem(r.ID(), maxInt(8, myPolymers/500_000), cfg.beads, 12)
+	sys := newPolymerSystem(r.ID(), max(8, myPolymers/500_000), cfg.beads, 12)
 
 	var acceptSum, trials float64
 	for step := 0; step < simSteps; step++ {
@@ -137,11 +137,4 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 			})
 	}
 	return rep, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

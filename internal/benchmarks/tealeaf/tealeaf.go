@@ -104,7 +104,7 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 	}
 
 	// Real solver state on the scaled tile.
-	rw, rh := maxInt(4, mw/scaleDiv), maxInt(4, mh/scaleDiv)
+	rw, rh := max(4, mw/scaleDiv), max(4, mh/scaleDiv)
 	s := newSolver(rw, rh, cart)
 
 	modelX := bench.DoubleBytes(mh)
@@ -136,11 +136,4 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 			})
 	}
 	return rep, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

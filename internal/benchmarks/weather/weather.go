@@ -99,8 +99,8 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 	}
 
 	// Real column model on a scaled strip.
-	rw := maxInt(4, mw/scaleDiv)
-	rh := maxInt(4, cfg.nz/scaleDiv)
+	rw := max(4, mw/scaleDiv)
+	rh := max(4, cfg.nz/scaleDiv)
 	st := newStrip(rw, rh, r.ID() == 0)
 
 	left, right := r.ID()-1, r.ID()+1
@@ -166,11 +166,4 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 			})
 	}
 	return rep, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
