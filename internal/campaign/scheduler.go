@@ -409,14 +409,15 @@ func (s *Scheduler) Active() int {
 // running it always completes (and memoizes), whatever its submitters'
 // contexts do; ctx then only affects how long Wait blocks.
 //
-// Exact mode always resolves through the engine. Fast consults the
-// attached predictor first: a usable model answers in microseconds with
-// a ticket that is already Done (carrying the prediction and its error
-// bound, see Ticket.Surrogate), while a missing model, an extrapolating
-// query, or a too-loose bound falls back to the exact path — queueing a
-// simulation whose result, once resolved, feeds back into the model. An
-// exact result already memoized beats the surrogate: fast mode never
-// degrades a free exact answer to an approximation.
+// Exact mode always resolves through the memo, the store, or a fresh
+// simulation. Fast consults the attached predictor first: a usable
+// model answers in microseconds with a ticket that is already Done
+// (carrying the prediction and its error bound, see Ticket.Surrogate),
+// while a missing model, an extrapolating query, or a too-loose bound
+// falls back to the exact path — queueing a simulation whose result,
+// once resolved, feeds back into the model. An exact result already
+// memoized beats the surrogate: fast mode never degrades a free exact
+// answer to an approximation.
 func (s *Scheduler) Submit(ctx context.Context, rs spec.RunSpec, pri int, mode Mode) *Ticket {
 	// KeepTrace jobs need the full event timeline, which no analytic
 	// model can synthesize.

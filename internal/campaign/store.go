@@ -93,7 +93,7 @@ func (r Record) result() (spec.RunResult, bool) {
 // tolerate concurrent writers on shared storage (last write wins; records
 // under one key are interchangeable by construction). A Get miss is
 // (Record{}, false, nil); errors are reserved for faults (unreadable or
-// corrupt entries), which the engine treats as misses and repairs by
+// corrupt entries), which the scheduler treats as misses and repairs by
 // re-simulating and re-writing.
 type Store interface {
 	Get(key string) (Record, bool, error)
@@ -144,7 +144,7 @@ func (s *DirStore) path(key string) string {
 // a zero-length file (the classic artifact of a crash between create
 // and flush on filesystems that do not order data before rename) is
 // removed and reported as a clean miss, while a torn or mismatched
-// record is removed and surfaced as an error so the engine counts the
+// record is removed and surfaced as an error so the scheduler counts the
 // fault; either way the next Get is a plain miss and the re-simulated
 // result overwrites the damage.
 func (s *DirStore) Get(key string) (Record, bool, error) {
