@@ -178,7 +178,7 @@ func TestRunCancelledBatch(t *testing.T) {
 
 	jobs := []spec.RunSpec{blockJob(1), blockJob(2), blockJob(3)}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan []Outcome)
+	done := make(chan []Outcome, 1)
 	go func() { done <- s.Run(ctx, jobs, Exact) }()
 	waitStarted(t, 1)
 	deadline := time.Now().Add(10 * time.Second)
