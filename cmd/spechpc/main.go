@@ -41,7 +41,6 @@ import (
 	"github.com/spechpc/spechpc-sim/internal/profiling"
 	"github.com/spechpc/spechpc-sim/internal/report"
 	"github.com/spechpc/spechpc-sim/internal/scenario"
-	"github.com/spechpc/spechpc-sim/internal/sim/psim"
 	"github.com/spechpc/spechpc-sim/internal/spec"
 	"github.com/spechpc/spechpc-sim/internal/trace"
 	"github.com/spechpc/spechpc-sim/internal/units"
@@ -346,13 +345,14 @@ func newScheduler(workers int, cacheDir string, simWorkers int) *campaign.Schedu
 // persistent store is in play, and — under -v — the parallel engine's
 // window accounting.
 func reportStats(sched *campaign.Scheduler, cacheDir string, verbose bool) {
+	st := sched.Stats()
 	if cacheDir != "" {
-		fmt.Fprintln(os.Stderr, sched.Stats())
+		fmt.Fprintln(os.Stderr, st)
 	}
 	if !verbose {
 		return
 	}
-	pt := psim.Snapshot()
+	pt := st.Psim
 	if pt.Runs == 0 {
 		fmt.Fprintln(os.Stderr, "psim: no partitioned runs (serial engine only)")
 		return

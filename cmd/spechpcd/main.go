@@ -142,9 +142,9 @@ func main() {
 			if _, err := idx.Load(dirStore.ModelsDir()); err != nil {
 				fmt.Fprintln(os.Stderr, "spechpcd: surrogate model load:", err)
 			}
-			fitted, families := idx.Models()
+			st := idx.Stats()
 			fmt.Printf("spechpcd: surrogate warm-start: %d cached results, %d/%d families fitted\n",
-				n, fitted, families)
+				n, st.Models, st.Families)
 		}
 	}
 

@@ -30,6 +30,7 @@ package campaign
 import (
 	"fmt"
 
+	"github.com/spechpc/spechpc-sim/internal/sim/psim"
 	"github.com/spechpc/spechpc-sim/internal/spec"
 )
 
@@ -57,18 +58,22 @@ type Outcome struct {
 // simulating, SurrogateMisses fell back because no fitted model covered
 // the job's family, and SurrogateRefused fell back because the model
 // declined the query (extrapolation outside the fitted hull, or an
-// error bound too loose to trust).
+// error bound too loose to trust). Psim sums the partitioned engine's
+// window accounting over this scheduler's fresh simulations that ran on
+// it. The JSON names are the service's /statsz campaign block; Psim is
+// its own top-level /statsz block.
 type Stats struct {
-	Jobs             int
-	Hits             int
-	Coalesced        int
-	Misses           int
-	StoreHits        int
-	StoreFaults      int
-	Cancelled        int
-	SurrogateHits    int
-	SurrogateMisses  int
-	SurrogateRefused int
+	Jobs             int         `json:"jobs"`
+	Hits             int         `json:"memo_hits"`
+	Coalesced        int         `json:"coalesced"`
+	StoreHits        int         `json:"store_hits"`
+	Misses           int         `json:"fresh_sims"`
+	StoreFaults      int         `json:"store_faults"`
+	Cancelled        int         `json:"cancelled"`
+	SurrogateHits    int         `json:"surrogate_hits"`
+	SurrogateMisses  int         `json:"surrogate_misses"`
+	SurrogateRefused int         `json:"surrogate_refused"`
+	Psim             psim.Totals `json:"-"`
 }
 
 // String renders the counters in the stable one-line form the CLIs print

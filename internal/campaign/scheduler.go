@@ -262,18 +262,6 @@ func NewScheduler(workers int, store Store) *Scheduler {
 // daemon fed unique jobs forever does not grow without bound.
 const defaultMemoCap = 4096
 
-// LimitMemo overrides the in-process memo bound: completed entries that
-// the persistent store also holds are evicted oldest-first beyond n
-// (<= 0 disables eviction). Entries the store cannot serve — failed
-// jobs, KeepTrace jobs, everything when no store is attached — are
-// never evicted, since dropping them would forfeit dedup rather than
-// trade memory for a disk read. Call before submitting work.
-func (s *Scheduler) LimitMemo(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.memoCap = n
-}
-
 // noteDoneLocked records a completed entry as evictable (when the store
 // can re-serve it) and enforces the memo bound. Callers hold s.mu.
 func (s *Scheduler) noteDoneLocked(j *schedJob) {
@@ -567,7 +555,8 @@ func (s *Scheduler) worker() {
 
 // execute resolves one unique job: persistent-store lookup first (when
 // attached and the job is storable), then a fresh simulation with
-// write-through.
+// write-through. A fresh run on the partitioned engine adds its window
+// accounting to Stats.Psim.
 func (s *Scheduler) execute(key string, rs spec.RunSpec) (spec.RunResult, error) {
 	storable := s.store != nil && !rs.KeepTrace
 	if storable {
@@ -594,6 +583,9 @@ func (s *Scheduler) execute(key string, rs spec.RunSpec) (spec.RunResult, error)
 		}
 	}
 	if err == nil {
+		if res.Psim.Windows > 0 {
+			s.count(func(st *Stats) { st.Psim.Add(res.Psim) })
+		}
 		s.observe(res)
 	}
 	return res, err

@@ -105,3 +105,30 @@ func TestGrantedJobSharesSerialKey(t *testing.T) {
 		t.Errorf("resubmission re-simulated (%d total rank bodies, want %d): granted run missed the memo", again, ran)
 	}
 }
+
+// TestSchedulerCountsPsimWindows checks the scheduler's own psim
+// accounting: one granted multi-node job adds exactly its run's windows
+// to Stats().Psim, and a memo hit on the same job adds nothing.
+func TestSchedulerCountsPsimWindows(t *testing.T) {
+	s := NewScheduler(2, nil)
+	s.SetSimWorkers(2)
+	defer s.Close()
+	rs := counterJob(100)
+	out := s.Submit(context.Background(), rs, 0, Exact).Wait(context.Background())
+	if out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	if out.Result.Psim.Windows == 0 {
+		t.Fatal("granted multi-node job ran no psim windows")
+	}
+	got := s.Stats().Psim
+	if got.Runs != 1 || got.Stats != out.Result.Psim {
+		t.Errorf("Stats().Psim = %+v, want 1 run with %+v", got, out.Result.Psim)
+	}
+	if out := s.Submit(context.Background(), rs, 0, Exact).Wait(context.Background()); out.Err != nil {
+		t.Fatal(out.Err)
+	}
+	if again := s.Stats().Psim; again != got {
+		t.Errorf("memo hit changed Stats().Psim: %+v -> %+v", got, again)
+	}
+}

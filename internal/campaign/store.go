@@ -253,18 +253,19 @@ func (s *DirStore) Walk(fn func(Record) error) error {
 	})
 }
 
-// Len walks the store and returns the number of persisted records —
-// inspection/testing helper, not on any hot path.
-func (s *DirStore) Len() (int, error) {
-	n, _, err := s.Usage()
-	return n, err
+// StoreUsage is a DirStore's size — the service /statsz store block.
+type StoreUsage struct {
+	Dir     string `json:"dir"`
+	Records int    `json:"records"`
+	Bytes   int64  `json:"bytes"`
 }
 
 // Usage walks the store and returns the persisted record count and
 // their total size in bytes — the numbers behind the service /statsz
 // endpoint and scripts/cache_stats.sh. Not on any hot path.
-func (s *DirStore) Usage() (records int, bytes int64, err error) {
-	err = filepath.WalkDir(s.dir, func(path string, d os.DirEntry, werr error) error {
+func (s *DirStore) Usage() (StoreUsage, error) {
+	u := StoreUsage{Dir: s.dir}
+	err := filepath.WalkDir(s.dir, func(path string, d os.DirEntry, werr error) error {
 		if werr != nil {
 			return werr
 		}
@@ -281,9 +282,9 @@ func (s *DirStore) Usage() (records int, bytes int64, err error) {
 		if ierr != nil {
 			return ierr
 		}
-		records++
-		bytes += info.Size()
+		u.Records++
+		u.Bytes += info.Size()
 		return nil
 	})
-	return records, bytes, err
+	return u, err
 }

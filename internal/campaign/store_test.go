@@ -46,8 +46,8 @@ func TestStoreServesAcrossEngines(t *testing.T) {
 	if s := sched1.Stats(); s.Misses != 2 || s.StoreHits != 0 || s.StoreFaults != 0 {
 		t.Errorf("first scheduler stats = %+v, want 2 misses, no store hits/faults", s)
 	}
-	if n, err := st.Len(); err != nil || n != 2 {
-		t.Fatalf("store holds %d records (err %v), want 2", n, err)
+	if u, err := st.Usage(); err != nil || u.Records != 2 {
+		t.Fatalf("store holds %d records (err %v), want 2", u.Records, err)
 	}
 
 	sched2 := NewScheduler(2, st)
@@ -91,8 +91,8 @@ func TestKeepTraceBypassesStore(t *testing.T) {
 	if out := sched.Run(context.Background(), []spec.RunSpec{job}, Exact); out[0].Err != nil {
 		t.Fatal(out[0].Err)
 	}
-	if n, _ := st.Len(); n != 0 {
-		t.Errorf("KeepTrace job persisted %d records, want 0", n)
+	if u, _ := st.Usage(); u.Records != 0 {
+		t.Errorf("KeepTrace job persisted %d records, want 0", u.Records)
 	}
 	// In-process memo still applies.
 	sched.Run(context.Background(), []spec.RunSpec{job}, Exact)
@@ -119,8 +119,8 @@ func TestErrorsNotPersisted(t *testing.T) {
 	if out := sched.Run(context.Background(), []spec.RunSpec{bad}, Exact); out[0].Err == nil {
 		t.Fatal("bad job succeeded")
 	}
-	if n, _ := st.Len(); n != 0 {
-		t.Errorf("failed job persisted %d records, want 0", n)
+	if u, _ := st.Usage(); u.Records != 0 {
+		t.Errorf("failed job persisted %d records, want 0", u.Records)
 	}
 }
 

@@ -305,6 +305,23 @@ func NewCoordinator(reg *Registry, client *http.Client) *Coordinator {
 	return &Coordinator{Registry: reg, Dispatcher: NewDispatcher(reg, client)}
 }
 
+// CoordinatorStats is the coordinator's /statsz block: worker health
+// from the registry plus the dispatcher's retry/reshard counters.
+type CoordinatorStats struct {
+	WorkersAlive   int `json:"workers_alive"`
+	WorkersSuspect int `json:"workers_suspect"`
+	WorkersDead    int `json:"workers_dead"`
+	DispatchStats
+}
+
+// Stats snapshots the registry's health counts and the dispatch
+// counters.
+func (c *Coordinator) Stats() CoordinatorStats {
+	st := CoordinatorStats{DispatchStats: c.Dispatcher.Stats()}
+	st.WorkersAlive, st.WorkersSuspect, st.WorkersDead = c.Registry.Counts()
+	return st
+}
+
 // Runner adapts the dispatcher to the scheduler's Runner seam. Jobs
 // that keep full event traces run locally on the coordinator — event
 // timelines are deliberately not part of the wire format (they are not

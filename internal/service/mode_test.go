@@ -81,7 +81,7 @@ func TestJobModeFastHit(t *testing.T) {
 
 	var stats statszResponse
 	doJSON(t, http.MethodGet, ts.URL+"/statsz", "", &stats)
-	if stats.Campaign.SurrogateHits != 1 || stats.Campaign.FreshSims != 0 {
+	if stats.Campaign.SurrogateHits != 1 || stats.Campaign.Misses != 0 {
 		t.Errorf("campaign stats = %+v, want 1 surrogate hit and 0 fresh sims", stats.Campaign)
 	}
 	if stats.Surrogate == nil {
@@ -130,8 +130,8 @@ func TestJobModeFastFallbacks(t *testing.T) {
 	if stats.Campaign.SurrogateRefused != 1 || stats.Campaign.SurrogateMisses != 1 {
 		t.Errorf("campaign stats = %+v, want 1 refused + 1 miss", stats.Campaign)
 	}
-	if stats.Campaign.FreshSims != 2 {
-		t.Errorf("fresh_sims = %d, want 2 (both fallbacks simulated)", stats.Campaign.FreshSims)
+	if stats.Campaign.Misses != 2 {
+		t.Errorf("fresh_sims = %d, want 2 (both fallbacks simulated)", stats.Campaign.Misses)
 	}
 	if want := int64(len(fitRanks) + 2); stats.Surrogate.Observed != want {
 		t.Errorf("observed = %d, want %d (both fallback results fed back)", stats.Surrogate.Observed, want)
@@ -154,7 +154,7 @@ func TestJobModeExactBypassesSurrogate(t *testing.T) {
 
 	var stats statszResponse
 	doJSON(t, http.MethodGet, ts.URL+"/statsz", "", &stats)
-	if stats.Campaign.SurrogateHits != 0 || stats.Campaign.FreshSims != 1 {
+	if stats.Campaign.SurrogateHits != 0 || stats.Campaign.Misses != 1 {
 		t.Errorf("campaign stats = %+v, want 0 surrogate hits and 1 fresh sim", stats.Campaign)
 	}
 }
@@ -213,8 +213,8 @@ func TestScenarioModeFast(t *testing.T) {
 
 	var stats statszResponse
 	doJSON(t, http.MethodGet, ts.URL+"/statsz", "", &stats)
-	if stats.Campaign.FreshSims != 0 {
-		t.Errorf("fresh_sims = %d, want 0 (the whole study rode the surrogate)", stats.Campaign.FreshSims)
+	if stats.Campaign.Misses != 0 {
+		t.Errorf("fresh_sims = %d, want 0 (the whole study rode the surrogate)", stats.Campaign.Misses)
 	}
 	if stats.Campaign.SurrogateHits < 3 {
 		t.Errorf("surrogate_hits = %d, want >= 3 (one per sweep point)", stats.Campaign.SurrogateHits)

@@ -113,7 +113,7 @@ type Server struct {
 	// Store-usage cache for /statsz: walking a big store per scrape
 	// would be O(records) disk I/O, so the numbers refresh at most once
 	// per storeStatsTTL.
-	storeStats   *statszStore
+	storeStats   *campaign.StoreUsage
 	storeStatsAt time.Time
 
 	admission *fleet.Admission
@@ -257,85 +257,35 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// statszResponse is the /statsz schema. The campaign counter names
-// mirror Stats.String(): scripts/service_smoke.sh reads fresh_sims to
-// assert a warm service re-serves a scenario without simulating.
+// statszResponse is the /statsz schema: each block is the value its
+// owner returns, and every count covers this server's scheduler, not
+// the whole process. The campaign counter names mirror Stats.String():
+// scripts/service_smoke.sh reads fresh_sims to assert a warm service
+// re-serves a scenario without simulating.
 type statszResponse struct {
-	Campaign   statszCampaign `json:"campaign"`
+	Campaign   campaign.Stats `json:"campaign"`
 	Workers    int            `json:"workers"`
 	QueueDepth int            `json:"queue_depth"`
 	Active     int            `json:"active"`
 	Jobs       int            `json:"jobs_submitted"`
 	Scenarios  int            `json:"scenarios_submitted"`
-	Store      *statszStore   `json:"store"`
+	// Store is null unless a DirStore backs the scheduler.
+	Store *campaign.StoreUsage `json:"store"`
 	// Surrogate is present when an analytic surrogate index is attached
 	// (Options.Surrogate).
-	Surrogate *statszSurrogate `json:"surrogate,omitempty"`
+	Surrogate *surrogate.IndexStats `json:"surrogate,omitempty"`
 	// Admission counts front-door outcomes (always present; all zero
 	// with the gate disabled).
 	Admission fleet.AdmissionStats `json:"admission"`
 	// Fleet is present in coordinator mode: worker health plus dispatch
 	// retry/reshard counters.
-	Fleet *statszFleet `json:"fleet,omitempty"`
-	// Psim is the process-wide partitioned-engine window accounting:
-	// how many runs used the parallel engine, how many windows they
-	// executed, how many of those the earliest-output oracle widened,
-	// and how many were handed to worker goroutines.
-	Psim statszPsim `json:"psim"`
-}
-
-// statszPsim mirrors psim.Totals for scrapes; window spans are virtual
-// seconds.
-type statszPsim struct {
-	Runs            int64   `json:"runs"`
-	Windows         int64   `json:"windows"`
-	AdaptiveWindows int64   `json:"adaptive_windows"`
-	Mail            int64   `json:"mail_merged"`
-	IdleParts       int64   `json:"idle_partition_windows"`
-	Dispatched      int64   `json:"dispatched_windows"`
-	WidestWindow    float64 `json:"widest_window_s"`
-	NarrowestWindow float64 `json:"narrowest_window_s"`
-}
-
-// statszFleet is the coordinator's worker-health and dispatch view.
-type statszFleet struct {
-	WorkersAlive   int    `json:"workers_alive"`
-	WorkersSuspect int    `json:"workers_suspect"`
-	WorkersDead    int    `json:"workers_dead"`
-	Dispatched     uint64 `json:"dispatched"`
-	Retries        uint64 `json:"retries"`
-	Resharded      uint64 `json:"resharded"`
-	NoWorkers      uint64 `json:"no_workers"`
-}
-
-type statszCampaign struct {
-	Jobs        int `json:"jobs"`
-	MemoHits    int `json:"memo_hits"`
-	Coalesced   int `json:"coalesced"`
-	StoreHits   int `json:"store_hits"`
-	FreshSims   int `json:"fresh_sims"`
-	StoreFaults int `json:"store_faults"`
-	Cancelled   int `json:"cancelled"`
-	// Surrogate taxonomy, mirroring Stats: hits answered from the fast
-	// tier, misses had no fitted model, refused had a model outside its
-	// hull or tolerance (both fall back to exact simulation).
-	SurrogateHits    int `json:"surrogate_hits"`
-	SurrogateMisses  int `json:"surrogate_misses"`
-	SurrogateRefused int `json:"surrogate_refused"`
-}
-
-// statszSurrogate is the model-inventory view of the attached index;
-// answer counts live in the campaign block's surrogate_* fields.
-type statszSurrogate struct {
-	Models   int   `json:"models"`
-	Families int   `json:"families"`
-	Observed int64 `json:"observed"`
-}
-
-type statszStore struct {
-	Dir     string `json:"dir"`
-	Records int    `json:"records"`
-	Bytes   int64  `json:"bytes"`
+	Fleet *fleet.CoordinatorStats `json:"fleet,omitempty"`
+	// Psim is the partitioned-engine window accounting of the fresh
+	// simulations this scheduler ran: how many runs used the parallel
+	// engine, how many windows they executed, how many of those the
+	// earliest-output oracle widened, and how many were handed to worker
+	// goroutines. Window spans are virtual seconds.
+	Psim psim.Totals `json:"psim"`
 }
 
 // handleStatsz reports scheduler and store counters.
@@ -345,51 +295,23 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	jobs, runs := len(s.jobs), len(s.runs)
 	s.mu.Unlock()
 	resp := statszResponse{
-		Campaign: statszCampaign{
-			Jobs:             st.Jobs,
-			MemoHits:         st.Hits,
-			Coalesced:        st.Coalesced,
-			StoreHits:        st.StoreHits,
-			FreshSims:        st.Misses,
-			StoreFaults:      st.StoreFaults,
-			Cancelled:        st.Cancelled,
-			SurrogateHits:    st.SurrogateHits,
-			SurrogateMisses:  st.SurrogateMisses,
-			SurrogateRefused: st.SurrogateRefused,
-		},
+		Campaign:   st,
 		Workers:    s.sched.Workers(),
 		QueueDepth: s.sched.QueueDepth(),
 		Active:     s.sched.Active(),
 		Jobs:       jobs,
 		Scenarios:  runs,
+		Store:      s.storeUsage(),
+		Admission:  s.admission.Stats(),
+		Psim:       st.Psim,
 	}
-	resp.Store = s.storeUsage()
-	resp.Admission = s.admission.Stats()
 	if c := s.opts.Fleet; c != nil {
-		alive, suspect, dead := c.Registry.Counts()
-		ds := c.Dispatcher.Stats()
-		resp.Fleet = &statszFleet{
-			WorkersAlive: alive, WorkersSuspect: suspect, WorkersDead: dead,
-			Dispatched: ds.Dispatched, Retries: ds.Retries,
-			Resharded: ds.Resharded, NoWorkers: ds.NoWorkers,
-		}
+		fs := c.Stats()
+		resp.Fleet = &fs
 	}
 	if idx := s.opts.Surrogate; idx != nil {
-		fitted, families := idx.Models()
-		resp.Surrogate = &statszSurrogate{
-			Models: fitted, Families: families, Observed: idx.Observed(),
-		}
-	}
-	pt := psim.Snapshot()
-	resp.Psim = statszPsim{
-		Runs:            pt.Runs,
-		Windows:         pt.Windows,
-		AdaptiveWindows: pt.AdaptiveWindows,
-		Mail:            pt.Mail,
-		IdleParts:       pt.IdleParts,
-		Dispatched:      pt.Dispatched,
-		WidestWindow:    pt.Widest,
-		NarrowestWindow: pt.Narrowest,
+		is := idx.Stats()
+		resp.Surrogate = &is
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -399,7 +321,7 @@ const storeStatsTTL = 5 * time.Second
 
 // storeUsage returns the (possibly cached) store size block, or nil
 // when no DirStore backs the scheduler.
-func (s *Server) storeUsage() *statszStore {
+func (s *Server) storeUsage() *campaign.StoreUsage {
 	ds, ok := s.sched.Store().(*campaign.DirStore)
 	if !ok {
 		return nil
@@ -412,15 +334,14 @@ func (s *Server) storeUsage() *statszStore {
 	}
 	s.mu.Unlock()
 
-	records, bytes, err := ds.Usage() // off the lock: this walks the store
+	u, err := ds.Usage() // off the lock: this walks the store
 	if err != nil {
 		return nil
 	}
-	fresh := &statszStore{Dir: ds.Dir(), Records: records, Bytes: bytes}
 	s.mu.Lock()
-	s.storeStats, s.storeStatsAt = fresh, time.Now()
+	s.storeStats, s.storeStatsAt = &u, time.Now()
 	s.mu.Unlock()
-	return fresh
+	return &u
 }
 
 // handleBenchmarks lists the registered kernels.

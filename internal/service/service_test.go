@@ -157,12 +157,9 @@ func TestJobLifecycle(t *testing.T) {
 // TestStatszPsimWindows submits a multi-node job to an otherwise-idle
 // server — the scheduler donates its worker budget, so the job runs on
 // the partitioned engine — and checks /statsz reports the engine's
-// window accounting.
+// window accounting for that one run.
 func TestStatszPsimWindows(t *testing.T) {
 	_, ts, _ := newTestServer(t, nil)
-
-	var before statszResponse
-	doJSON(t, http.MethodGet, ts.URL+"/statsz", "", &before)
 
 	var sub jobStatus
 	doJSON(t, http.MethodPost, ts.URL+"/api/v1/jobs",
@@ -171,19 +168,10 @@ func TestStatszPsimWindows(t *testing.T) {
 		t.Fatalf("multi-node job finished as %s (%s)", st.State, st.Error)
 	}
 
-	var after statszResponse
-	doJSON(t, http.MethodGet, ts.URL+"/statsz", "", &after)
-	if after.Psim.Runs <= before.Psim.Runs {
-		t.Fatalf("psim runs did not advance: %+v -> %+v", before.Psim, after.Psim)
-	}
-	if after.Psim.Windows <= before.Psim.Windows {
-		t.Errorf("no windows accounted: %+v", after.Psim)
-	}
-	if after.Psim.Dispatched <= before.Psim.Dispatched {
-		t.Errorf("no window dispatched to workers: %+v", after.Psim)
-	}
-	if after.Psim.NarrowestWindow <= 0 {
-		t.Errorf("narrowest window %g not positive", after.Psim.NarrowestWindow)
+	var stats statszResponse
+	doJSON(t, http.MethodGet, ts.URL+"/statsz", "", &stats)
+	if p := stats.Psim; p.Runs != 1 || p.Windows <= 0 || p.Dispatched <= 0 || p.Narrowest <= 0 {
+		t.Errorf("psim block = %+v, want 1 run with windows, dispatched windows and a positive narrowest span", p)
 	}
 }
 
@@ -239,11 +227,11 @@ func TestJobCoalescingAcrossRequests(t *testing.T) {
 
 	var stats statszResponse
 	doJSON(t, http.MethodGet, ts.URL+"/statsz", "", &stats)
-	if stats.Campaign.FreshSims != 1 {
+	if stats.Campaign.Misses != 1 {
 		t.Errorf("fresh_sims = %d, want exactly 1 (identical requests share one simulation)",
-			stats.Campaign.FreshSims)
+			stats.Campaign.Misses)
 	}
-	if stats.Campaign.Jobs != 2 || stats.Campaign.MemoHits != 1 {
+	if stats.Campaign.Jobs != 2 || stats.Campaign.Hits != 1 {
 		t.Errorf("statsz campaign = %+v, want 2 jobs with 1 memo hit", stats.Campaign)
 	}
 	if stats.Jobs != 2 {

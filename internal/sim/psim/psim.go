@@ -106,38 +106,23 @@ type Engine struct {
 // the same simulation's cross-partition traffic.
 type Stats struct {
 	// Windows is the number of barrier-to-barrier windows executed.
-	Windows int64
+	Windows int64 `json:"windows"`
 	// AdaptiveWindows counts windows the oracle widened beyond the
 	// latency floor.
-	AdaptiveWindows int64
+	AdaptiveWindows int64 `json:"adaptive_windows"`
 	// Mail is the number of cross-partition events merged at barriers.
-	Mail int64
+	Mail int64 `json:"mail_merged"`
 	// IdleParts counts partition×window pairs where a partition had no
 	// event before the window end (it sat out the barrier).
-	IdleParts int64
+	IdleParts int64 `json:"idle_partition_windows"`
 	// Dispatched counts windows whose partitions were handed to worker
 	// goroutines; every other window ran inline on the coordinator.
-	Dispatched int64
+	Dispatched int64 `json:"dispatched_windows"`
 	// Widest and Narrowest are the extreme window spans (window end
 	// minus global minimum event time) in virtual seconds. Narrowest is
 	// never below the lookahead: windows only ever widen.
-	Widest    float64
-	Narrowest float64
-}
-
-// merge folds another run's stats into s (for process-wide totals).
-func (s *Stats) merge(o Stats) {
-	s.Windows += o.Windows
-	s.AdaptiveWindows += o.AdaptiveWindows
-	s.Mail += o.Mail
-	s.IdleParts += o.IdleParts
-	s.Dispatched += o.Dispatched
-	if o.Widest > s.Widest {
-		s.Widest = o.Widest
-	}
-	if s.Narrowest == 0 || (o.Narrowest > 0 && o.Narrowest < s.Narrowest) {
-		s.Narrowest = o.Narrowest
-	}
+	Widest    float64 `json:"widest_window_s"`
+	Narrowest float64 `json:"narrowest_window_s"`
 }
 
 // Stats returns the counters of the engine's last (or in-progress) run.
@@ -153,23 +138,43 @@ func (g *Engine) Counters() sim.Counters {
 	return c
 }
 
-// Process-wide totals across every engine run, for /statsz and -v
-// style observability surfaces.
+// Totals aggregates window statistics across engine runs: a
+// campaign.Scheduler keeps one for the runs it executes (the /statsz
+// and spechpc -v numbers), and the process keeps one for Snapshot.
+type Totals struct {
+	// Runs counts the runs added.
+	Runs int64 `json:"runs"`
+	Stats
+}
+
+// Add folds one finished run's stats into t.
+func (t *Totals) Add(o Stats) {
+	t.Runs++
+	t.Windows += o.Windows
+	t.AdaptiveWindows += o.AdaptiveWindows
+	t.Mail += o.Mail
+	t.IdleParts += o.IdleParts
+	t.Dispatched += o.Dispatched
+	if o.Widest > t.Widest {
+		t.Widest = o.Widest
+	}
+	if t.Narrowest == 0 || (o.Narrowest > 0 && o.Narrowest < t.Narrowest) {
+		t.Narrowest = o.Narrowest
+	}
+}
+
+// Process-wide totals across every engine run, whichever scheduler (or
+// direct caller) ran it.
 var (
 	totalsMu sync.Mutex
 	totals   Totals
 )
 
-// Totals aggregates window statistics across all engine runs in this
-// process.
-type Totals struct {
-	// Runs counts completed Engine.Run calls.
-	Runs int64
-	Stats
-}
-
 // Snapshot returns the process-wide window statistics accumulated by
-// every engine run so far.
+// every engine run so far. It remains only for the perfbench harness,
+// which measures one daemon per process and diffs snapshots around each
+// run; servers and CLIs read their scheduler's campaign.Stats.Psim,
+// which counts only the runs that scheduler executed.
 func Snapshot() Totals {
 	totalsMu.Lock()
 	defer totalsMu.Unlock()
@@ -181,8 +186,7 @@ func Snapshot() Totals {
 func (g *Engine) flushTotals() {
 	totalsMu.Lock()
 	defer totalsMu.Unlock()
-	totals.Runs++
-	totals.Stats.merge(g.stat)
+	totals.Add(g.stat)
 }
 
 // enginePool recycles Engine coordination state (partition structs,

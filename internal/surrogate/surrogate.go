@@ -210,24 +210,32 @@ func (x *Index) Predict(rs spec.RunSpec) (campaign.Predicted, error) {
 	return campaign.Predicted{Result: m.synthesize(rs, p), Bound: p.Bound}, nil
 }
 
-// Observed returns how many exact results Observe has accepted.
-func (x *Index) Observed() int64 { return x.observed.Load() }
+// IndexStats is the index's model inventory — the /statsz surrogate
+// block. Answer counts live in campaign.Stats, whose scheduler is the
+// only caller of Predict.
+type IndexStats struct {
+	// Models counts families holding a fitted model, out of Families.
+	Models   int `json:"models"`
+	Families int `json:"families"`
+	// Observed counts the exact results Observe has accepted.
+	Observed int64 `json:"observed"`
+}
 
-// Models returns how many families currently hold a fitted model (and
-// how many families exist at all) — the /statsz inventory numbers.
-func (x *Index) Models() (fitted, families int) {
+// Stats snapshots the model inventory.
+func (x *Index) Stats() IndexStats {
 	x.mu.RLock()
 	fams := make([]*family, 0, len(x.families))
 	for _, f := range x.families {
 		fams = append(fams, f)
 	}
 	x.mu.RUnlock()
+	st := IndexStats{Families: len(fams), Observed: x.observed.Load()}
 	for _, f := range fams {
 		if f.fitted() != nil {
-			fitted++
+			st.Models++
 		}
 	}
-	return fitted, len(fams)
+	return st
 }
 
 // FitStore bulk-loads every record persisted in a campaign store into

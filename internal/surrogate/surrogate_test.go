@@ -338,9 +338,8 @@ func TestObserveDedupAndModels(t *testing.T) {
 	if before != after {
 		t.Errorf("duplicate observation grew the grid: %d -> %d", before, after)
 	}
-	fitted, families := idx.Models()
-	if fitted != 1 || families != 1 {
-		t.Errorf("Models() = (%d, %d), want (1, 1)", fitted, families)
+	if st := idx.Stats(); st.Models != 1 || st.Families != 1 {
+		t.Errorf("Stats() = %+v, want 1 fitted model in 1 family", st)
 	}
 }
 

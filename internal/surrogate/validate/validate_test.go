@@ -104,7 +104,7 @@ func TestOutOfHullFallsBackToSimulator(t *testing.T) {
 	for _, res := range results {
 		idx.Observe(res)
 	}
-	seeded := idx.Observed()
+	seeded := idx.Stats().Observed
 
 	sched := campaign.NewScheduler(2, nil)
 	defer sched.Close()
@@ -149,7 +149,7 @@ func TestOutOfHullFallsBackToSimulator(t *testing.T) {
 	if st.Misses != 1 {
 		t.Errorf("fresh sims = %d, want exactly the out-of-hull fallback", st.Misses)
 	}
-	if observed := idx.Observed(); observed != seeded+1 {
+	if observed := idx.Stats().Observed; observed != seeded+1 {
 		t.Errorf("observed = %d, want %d (fallback result fed back into the index)", observed, seeded+1)
 	}
 
