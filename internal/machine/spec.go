@@ -127,16 +127,6 @@ func (c *CPUSpec) NodePeakFlops() float64 {
 	return c.SIMDPeakPerCore() * float64(c.CoresPerNode())
 }
 
-// NodeMemBandwidth returns the saturated memory bandwidth of a full node.
-func (c *CPUSpec) NodeMemBandwidth() float64 {
-	return c.MemSaturatedPerDomain * float64(c.DomainsPerNode())
-}
-
-// CachePerCoreL3 returns the per-core share of the L3 slice.
-func (c *CPUSpec) CachePerCoreL3() float64 {
-	return c.L3PerDomain / float64(c.CoresPerDomain())
-}
-
 // ClusterSpec is a full cluster: homogeneous nodes of one CPUSpec plus the
 // cluster size. Interconnect parameters live in package netsim and are
 // composed with the machine model by the spec harness.

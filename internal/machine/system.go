@@ -296,7 +296,3 @@ func (s *System) Wall() float64 { return s.wall }
 
 // RankStats returns a copy of the raw counters for one rank.
 func (s *System) RankStats(rank int) RankStats { return s.rank[rank] }
-
-// MemDomainResource exposes the memory PS resource of a global domain
-// (used by tests and ablation benches).
-func (s *System) MemDomainResource(d int) *sim.PSResource { return s.memRes[d] }

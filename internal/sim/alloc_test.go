@@ -177,8 +177,8 @@ func TestEnvPoolReuse(t *testing.T) {
 	ReleaseEnv(e)
 	e2 := AcquireEnv() // may or may not be the same object; both must work
 	defer ReleaseEnv(e2)
-	if e2.Now() != 0 || len(e2.Procs()) != 0 {
-		t.Fatalf("pooled env not reset: now=%v procs=%d", e2.Now(), len(e2.Procs()))
+	if e2.Now() != 0 || len(e2.procs) != 0 {
+		t.Fatalf("pooled env not reset: now=%v procs=%d", e2.Now(), len(e2.procs))
 	}
 	if second := run(e2); second != first {
 		t.Fatalf("pooled rerun produced %v, want %v", second, first)

@@ -27,8 +27,8 @@ func TestPSRetimesPerChange(t *testing.T) {
 			if err := e.RunUntil(next); err != nil {
 				t.Fatal(err)
 			}
-			if r.ActiveFlows() != k {
-				t.Fatalf("%d flows active after the first completion, want %d", r.ActiveFlows(), k)
+			if len(r.flows) != k {
+				t.Fatalf("%d flows active after the first completion, want %d", len(r.flows), k)
 			}
 			after := e.Counters()
 			if d := after.Retimes - before.Retimes; d != 1 {

@@ -796,6 +796,3 @@ func (e *Env) deadlockError() error {
 	}
 	return fmt.Errorf("%s", msg)
 }
-
-// Procs returns all processes ever spawned in the environment.
-func (e *Env) Procs() []*Proc { return e.procs }

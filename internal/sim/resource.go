@@ -119,29 +119,6 @@ func (r *PSResource) Reinit(env *Env, name string, capacity, flowCap float64) {
 	}
 }
 
-// ActiveFlows returns the number of currently active flows.
-func (r *PSResource) ActiveFlows() int { return len(r.flows) }
-
-// CurrentRate returns the service rate currently granted to a single flow
-// if n flows are active, following the same water-filling rule used for
-// live flows. Useful for analytical probes and tests.
-func (r *PSResource) CurrentRate(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	share := r.Capacity / float64(n)
-	if r.FlowCap > 0 && share > r.FlowCap {
-		return r.FlowCap
-	}
-	return share
-}
-
-// Utilization returns the fraction of Capacity currently in service,
-// in [0, 1].
-func (r *PSResource) Utilization() float64 {
-	return float64(len(r.flows)) * r.rate / r.Capacity
-}
-
 // Transfer moves amount units through the resource on behalf of process p,
 // blocking p in virtual time until the transfer completes. A non-positive
 // amount returns immediately.
@@ -220,9 +197,6 @@ func (f *Flow) Await(p *Proc) {
 		p.Park(f.res.parkAwait)
 	}
 }
-
-// Completed reports whether the flow has finished.
-func (f *Flow) Completed() bool { return f.completed }
 
 // Remaining returns the amount of work left in the flow as of the last
 // resource update (the last flow start or completion on its resource).
@@ -366,66 +340,3 @@ func (r *PSResource) siftDown(i int) {
 	}
 	h[i] = f
 }
-
-// Semaphore is a counting semaphore in virtual time with FIFO wakeup order.
-// It models exclusive or limited-concurrency resources (e.g. a NIC engine).
-type Semaphore struct {
-	env     *Env
-	Name    string
-	tokens  int
-	waiters []*Proc
-	parkMsg string
-}
-
-// NewSemaphore creates a semaphore with the given initial token count.
-func NewSemaphore(env *Env, name string, tokens int) *Semaphore {
-	if tokens < 0 {
-		panic(fmt.Sprintf("sim: semaphore %q with negative tokens %d", name, tokens))
-	}
-	return &Semaphore{env: env, Name: name, tokens: tokens, parkMsg: "semaphore " + name}
-}
-
-// Acquire takes one token, blocking the process in virtual time until one
-// is available. Wakeup order is FIFO.
-func (s *Semaphore) Acquire(p *Proc) {
-	p.mustBeCurrent("Semaphore.Acquire")
-	if s.tokens > 0 && len(s.waiters) == 0 {
-		s.tokens--
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	for {
-		p.Park(s.parkMsg)
-		// We are only woken by Release after being granted a token and
-		// removed from the queue; a defensive re-check keeps FIFO intact
-		// under spurious wake tokens.
-		granted := true
-		for _, w := range s.waiters {
-			if w == p {
-				granted = false
-				break
-			}
-		}
-		if granted {
-			return
-		}
-	}
-}
-
-// Release returns one token, waking the longest-waiting process if any.
-func (s *Semaphore) Release() {
-	if len(s.waiters) > 0 {
-		p := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		if p.state == StateParked {
-			s.env.Wake(p)
-		} else {
-			p.wakeTokens++
-		}
-		return
-	}
-	s.tokens++
-}
-
-// Available returns the number of free tokens.
-func (s *Semaphore) Available() int { return s.tokens }

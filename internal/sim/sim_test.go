@@ -376,53 +376,6 @@ func TestPSResourceAsyncFlowAwait(t *testing.T) {
 	}
 }
 
-func TestSemaphoreFIFO(t *testing.T) {
-	e := NewEnv()
-	s := NewSemaphore(e, "nic", 1)
-	var order []string
-	for _, n := range []string{"a", "b", "c"} {
-		name := n
-		e.Spawn(name, func(p *Proc) {
-			s.Acquire(p)
-			order = append(order, name+"-in")
-			p.Wait(1)
-			order = append(order, name+"-out")
-			s.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := "a-in a-out b-in b-out c-in c-out"
-	if got := strings.Join(order, " "); got != want {
-		t.Fatalf("semaphore order = %q, want %q", got, want)
-	}
-}
-
-func TestSemaphoreCounting(t *testing.T) {
-	e := NewEnv()
-	s := NewSemaphore(e, "slots", 2)
-	finish := make([]float64, 4)
-	for i := 0; i < 4; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			s.Acquire(p)
-			p.Wait(10)
-			s.Release()
-			finish[i] = p.Now()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{10, 10, 20, 20}
-	for i := range finish {
-		if !almostEqual(finish[i], want[i], 1e-9) {
-			t.Fatalf("worker %d finished at %v, want %v", i, finish[i], want[i])
-		}
-	}
-}
-
 // Property: for any set of flow sizes started simultaneously on an uncapped
 // resource, total completion time equals total work / capacity (work
 // conservation of processor sharing), and flows complete in size order.
