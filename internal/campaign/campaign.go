@@ -58,10 +58,10 @@ type Outcome struct {
 // simulating, SurrogateMisses fell back because no fitted model covered
 // the job's family, and SurrogateRefused fell back because the model
 // declined the query (extrapolation outside the fitted hull, or an
-// error bound too loose to trust). Psim sums the partitioned engine's
-// window accounting over this scheduler's fresh simulations that ran on
-// it. The JSON names are the service's /statsz campaign block; Psim is
-// its own top-level /statsz block.
+// error bound too loose to trust). Psim sums the window accounting of
+// the fresh simulations this scheduler ran on the partitioned engine.
+// The JSON names are the service's /statsz campaign block; Psim is its
+// own top-level /statsz block.
 type Stats struct {
 	Jobs             int         `json:"jobs"`
 	Hits             int         `json:"memo_hits"`
