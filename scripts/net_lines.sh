@@ -1,8 +1,8 @@
 #!/bin/sh
 # net_lines.sh — added/removed/net line counts of the working tree
 # against a base commit, split the way change summaries report them:
-# non-test Go, test Go, and every other non-Markdown file. ISSUE.md and
-# all *.md files are left out, as are binary files.
+# non-test Go, test Go, and every other non-Markdown file. All *.md
+# files are left out, as are binary files.
 #
 # Usage:
 #   scripts/net_lines.sh BASE
