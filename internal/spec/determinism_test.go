@@ -24,7 +24,8 @@ var updateGolden = flag.Bool("update", false, "rewrite determinism golden files"
 // differently: a rendezvous wavefront chain, a memory-bound halo code, a
 // large-payload allreduce, and multi-node jobs exercising the interconnect
 // and the hierarchical allreduce. hpgmgfv_A8 pins the multigrid kernel's
-// checks, which every golden also records.
+// checks, which every golden also records; sphexa_A8 likewise pins the
+// SPH density and force passes through rank 0's checks.
 func goldenJobs() []struct {
 	name string
 	rs   spec.RunSpec
@@ -45,6 +46,9 @@ func goldenJobs() []struct {
 			Cluster: machine.MustGet("ClusterB"), Ranks: 8,
 			Options: bench.Options{SimSteps: 1}, KeepTrace: true}, true},
 		{"hpgmgfv_A8", spec.RunSpec{Benchmark: "hpgmgfv", Class: bench.Tiny,
+			Cluster: machine.MustGet("ClusterA"), Ranks: 8,
+			Options: bench.Options{SimSteps: 2}, KeepTrace: true}, true},
+		{"sphexa_A8", spec.RunSpec{Benchmark: "sph-exa", Class: bench.Tiny,
 			Cluster: machine.MustGet("ClusterA"), Ranks: 8,
 			Options: bench.Options{SimSteps: 2}, KeepTrace: true}, true},
 		{"lbm_A72", spec.RunSpec{Benchmark: "lbm", Class: bench.Small,
