@@ -117,6 +117,25 @@ func minisweepJob() spec.RunSpec {
 	}
 }
 
+// BenchmarkSPHExaNodeJob is sph-exa/tiny on one full ClusterB node (104
+// ranks, one step): the costliest job of the Figs. 1-4 node sweeps, and
+// almost all of its host time is the ranks' own SPH density and force
+// passes. Run with -benchmem: its B/op is the sph-exa buffer budget.
+func BenchmarkSPHExaNodeJob(b *testing.B) {
+	cs := machine.MustGet("ClusterB")
+	rs := spec.RunSpec{
+		Benchmark: "sph-exa", Class: bench.Tiny,
+		Cluster: cs, Ranks: cs.CPU.CoresPerNode(),
+		Options: bench.Options{SimSteps: 1},
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := spec.Run(rs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestWavefrontWindowsRunInline pins the dispatch rule on the wavefront
 // job with deterministic counters: at two workers nearly every one of
 // its narrow windows must run inline on the coordinator, and the result
