@@ -138,8 +138,8 @@ type Model struct {
 	dv     dvfs.Model
 	baseHz float64
 
-	rankX  []float64 // sorted rank grid at baseHz
-	curves [nQuant]pchip
+	rankX  []float64  // sorted rank grid at baseHz
+	curves curveSet   // every quantity's PCHIP curve over rankX
 	clocks []clockFit // sorted by rank; empty = rank axis only
 
 	minHz, maxHz float64 // fitted clock hull (baseHz only when clocks empty)
@@ -214,9 +214,11 @@ func fitModel(fam spec.RunSpec, report bench.RunReport, samples []sample) *Model
 			ys[q][i] = refByRank[r].vals[q]
 		}
 	}
+	var curves [nQuant]pchip
 	for q := 0; q < nQuant; q++ {
-		m.curves[q] = fitPCHIP(m.rankX, ys[q])
+		curves[q] = fitPCHIP(m.rankX, ys[q])
 	}
+	m.curves = newCurveSet(&curves)
 
 	// Frequency responses at every rank with a sampled clock ladder.
 	m.minHz, m.maxHz = base, base
@@ -328,22 +330,13 @@ func (m *Model) fitErrors(refByRank map[int]sample, byRank map[int][]sample, ys 
 	}
 }
 
-// boundAt returns the per-query error bound at a (rank, clock) point
-// inside the hull: the LOO errors of the two knots bracketing the rank,
-// plus the clock-axis term for off-base clocks, scaled by the safety
-// factor over the floor. Zero allocs.
-func (m *Model) boundAt(r float64, offBase bool) float64 {
-	n := len(m.rankX)
-	lo, hi := 0, n-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if m.rankX[mid] <= r {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	e := math.Max(m.knotErr[lo], m.knotErr[hi])
+// boundAt returns the per-query error bound at a rank inside the hull,
+// given its knot interval lo = interval(rankX, rank): the LOO errors of
+// the two knots bracketing the rank, plus the clock-axis term for
+// off-base clocks, scaled by the safety factor over the floor. Zero
+// allocs.
+func (m *Model) boundAt(lo int, offBase bool) float64 {
+	e := max(m.knotErr[lo], m.knotErr[lo+1])
 	if offBase {
 		e += m.clockErr
 	}
@@ -392,7 +385,7 @@ func (m *Model) normClock(hz float64) (float64, bool) {
 	if hz == 0 {
 		return m.baseHz, true
 	}
-	d := m.dv
+	d := &m.dv
 	if !d.Enabled() || hz < d.MinHz || hz > d.MaxHz {
 		return 0, false
 	}
@@ -402,14 +395,14 @@ func (m *Model) normClock(hz float64) (float64, bool) {
 // Predict evaluates the model at a (ranks, clock) point. It returns a
 // campaign.ErrRefused-wrapped error when the point extrapolates outside
 // the fitted hull on either axis; inside the hull the call performs no
-// heap allocation (binary searches over immutable fitted arrays plus
-// scalar arithmetic), which is what lets the fast tier answer in
+// heap allocation (one knot-interval search shared by every quantity
+// and the bound, plus scalar arithmetic), which is what lets the fast tier answer in
 // sub-microsecond time — see BenchmarkSurrogateQuery.
 func (m *Model) Predict(ranks int, clockHz float64) (Prediction, error) {
-	lo, hi := m.Ranks()
-	if ranks < lo || ranks > hi {
+	minR, maxR := m.Ranks()
+	if ranks < minR || ranks > maxR {
 		return Prediction{}, fmt.Errorf("%w: ranks=%d outside fitted hull [%d, %d]",
-			campaign.ErrRefused, ranks, lo, hi)
+			campaign.ErrRefused, ranks, minR, maxR)
 	}
 	hz, ok := m.normClock(clockHz)
 	if !ok {
@@ -424,10 +417,11 @@ func (m *Model) Predict(ranks int, clockHz float64) (Prediction, error) {
 		}
 		cf = m.nearestClockFit(float64(ranks))
 	}
-	var vals [nQuant]float64
 	r := float64(ranks)
-	for q := 0; q < nQuant; q++ {
-		v := m.curves[q].eval(r)
+	lo := interval(m.rankX, r)
+	vals := m.curves.eval(m.rankX, lo, r)
+	for q := range vals {
+		v := vals[q]
 		if cf != nil {
 			v *= cf.ratio(q, hz, &m.dv)
 		}
@@ -448,7 +442,7 @@ func (m *Model) Predict(ranks int, clockHz float64) (Prediction, error) {
 		TimeMPI:     vals[qTimeMPI],
 		ChipEnergy:  vals[qChipE],
 		DRAMEnergy:  vals[qDRAME],
-		Bound:       m.boundAt(r, cf != nil),
+		Bound:       m.boundAt(lo, cf != nil),
 	}, nil
 }
 

@@ -92,23 +92,91 @@ func (p pchip) eval(q float64) float64 {
 	if q >= p.x[n-1] {
 		return p.y[n-1]
 	}
-	// Binary search for the interval with x[i] <= q < x[i+1].
-	lo, hi := 0, n-1
+	w := hermiteAt(p.x, interval(p.x, q), q)
+	return w.blend(p.y[w.lo], p.d[w.lo], p.y[w.lo+1], p.d[w.lo+1])
+}
+
+// interval binary-searches strictly increasing knots xs for the
+// interval [lo, lo+1] with xs[lo] <= q < xs[lo+1], clamped to the first
+// and last interval for q outside the knots.
+func interval(xs []float64, q float64) int {
+	lo, hi := 0, len(xs)-1
 	for hi-lo > 1 {
 		mid := (lo + hi) / 2
-		if p.x[mid] <= q {
+		if xs[mid] <= q {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	h := p.x[lo+1] - p.x[lo]
-	t := (q - p.x[lo]) / h
+	return lo
+}
+
+// hermite is the cubic Hermite basis of one query point inside knot
+// interval [lo, lo+1] of width h: every curve over the same knots
+// interpolates there with the same weights.
+type hermite struct {
+	lo                    int
+	h, h00, h10, h01, h11 float64
+}
+
+func hermiteAt(xs []float64, lo int, q float64) hermite {
+	h := xs[lo+1] - xs[lo]
+	t := (q - xs[lo]) / h
 	t2 := t * t
 	t3 := t2 * t
-	h00 := 2*t3 - 3*t2 + 1
-	h10 := t3 - 2*t2 + t
-	h01 := -2*t3 + 3*t2
-	h11 := t3 - t2
-	return p.y[lo]*h00 + h*p.d[lo]*h10 + p.y[lo+1]*h01 + h*p.d[lo+1]*h11
+	return hermite{
+		lo: lo, h: h,
+		h00: 2*t3 - 3*t2 + 1,
+		h10: t3 - 2*t2 + t,
+		h01: -2*t3 + 3*t2,
+		h11: t3 - t2,
+	}
+}
+
+// blend interpolates a curve with values y0, y1 and derivatives d0, d1
+// at the interval ends.
+func (w hermite) blend(y0, d0, y1, d1 float64) float64 {
+	return y0*w.h00 + w.h*d0*w.h10 + y1*w.h01 + w.h*d1*w.h11
+}
+
+// curveSet is nQuant PCHIP curves over one shared knot vector, stored
+// as one struct of arrays: the values and derivatives of every
+// quantity at knot i are y[i] and d[i]. One interval search and one
+// Hermite basis serve all of them.
+type curveSet struct {
+	y, d [][nQuant]float64
+}
+
+func newCurveSet(curves *[nQuant]pchip) curveSet {
+	n := len(curves[0].x)
+	cs := curveSet{y: make([][nQuant]float64, n), d: make([][nQuant]float64, n)}
+	for q := range curves {
+		for i := 0; i < n; i++ {
+			cs.y[i][q], cs.d[i][q] = curves[q].y[i], curves[q].d[i]
+		}
+	}
+	return cs
+}
+
+// eval interpolates every quantity at q over knots xs, whose interval
+// lo = interval(xs, q) the caller has found, clamping outside the knots
+// exactly as pchip.eval does. Zero allocs.
+func (c *curveSet) eval(xs []float64, lo int, q float64) [nQuant]float64 {
+	n := len(xs)
+	if q <= xs[0] {
+		return c.y[0]
+	}
+	if q >= xs[n-1] {
+		return c.y[n-1]
+	}
+	w := hermiteAt(xs, lo, q)
+	// Copy the four knot rows whole: one block read each instead of one
+	// read per quantity, and the race detector instruments every read.
+	y0, d0, y1, d1 := c.y[lo], c.d[lo], c.y[lo+1], c.d[lo+1]
+	var out [nQuant]float64
+	for k := range out {
+		out[k] = w.blend(y0[k], d0[k], y1[k], d1[k])
+	}
+	return out
 }
