@@ -14,13 +14,13 @@ import (
 // The passes sum over neighbor candidates in the periodic 27-cell
 // stencil order (ascending particle index within a cell), then over the
 // halo in received order, and accept a pair when its distance is below
-// h. Distances themselves do not wrap, so most candidates are rejected;
-// three bounds skip that work without changing a bit of any sum. A
-// stencil cell or halo block that lies farther than h is never scanned
+// h. Distances themselves do not wrap, so most candidates are rejected,
+// and three shortcuts skip that work without changing a bit of any sum:
+// a stencil cell or halo block that lies farther than h is never scanned
 // (at g >= 3 this drops every cell across the periodic wrap, which lies
 // at least (g-2)/g > h away); a candidate whose squared distance exceeds
 // h2cut is rejected before its square root; and the force pass sums over
-// the pairs the density pass accepted. The bounds are computed with the
+// the pairs the density pass accepted. Both bounds are computed with the
 // same rounded operations as a pair's squared distance, so by the
 // monotonicity of IEEE rounding they never reject a pair the exact
 // sqrt(d^2) < h test would accept (docs/PERFORMANCE.md gives the

@@ -396,8 +396,8 @@ func (m *Model) normClock(hz float64) (float64, bool) {
 // campaign.ErrRefused-wrapped error when the point extrapolates outside
 // the fitted hull on either axis; inside the hull the call performs no
 // heap allocation (one knot-interval search shared by every quantity
-// and the bound, plus scalar arithmetic), which is what lets the fast tier answer in
-// sub-microsecond time — see BenchmarkSurrogateQuery.
+// and the bound, plus scalar arithmetic), which is what lets the fast
+// tier answer in sub-microsecond time — see BenchmarkSurrogateQuery.
 func (m *Model) Predict(ranks int, clockHz float64) (Prediction, error) {
 	minR, maxR := m.Ranks()
 	if ranks < minR || ranks > maxR {

@@ -92,8 +92,8 @@ func (p pchip) eval(q float64) float64 {
 	if q >= p.x[n-1] {
 		return p.y[n-1]
 	}
-	w := hermiteAt(p.x, interval(p.x, q), q)
-	return w.blend(p.y[w.lo], p.d[w.lo], p.y[w.lo+1], p.d[w.lo+1])
+	lo := interval(p.x, q)
+	return hermiteAt(p.x, lo, q).blend(p.y[lo], p.d[lo], p.y[lo+1], p.d[lo+1])
 }
 
 // interval binary-searches strictly increasing knots xs for the
@@ -112,13 +112,10 @@ func interval(xs []float64, q float64) int {
 	return lo
 }
 
-// hermite is the cubic Hermite basis of one query point inside knot
-// interval [lo, lo+1] of width h: every curve over the same knots
-// interpolates there with the same weights.
-type hermite struct {
-	lo                    int
-	h, h00, h10, h01, h11 float64
-}
+// hermite is the cubic Hermite basis of one query point inside a knot
+// interval of width h: every curve over the same knots interpolates
+// there with the same weights.
+type hermite struct{ h, h00, h10, h01, h11 float64 }
 
 func hermiteAt(xs []float64, lo int, q float64) hermite {
 	h := xs[lo+1] - xs[lo]
@@ -126,7 +123,7 @@ func hermiteAt(xs []float64, lo int, q float64) hermite {
 	t2 := t * t
 	t3 := t2 * t
 	return hermite{
-		lo: lo, h: h,
+		h:   h,
 		h00: 2*t3 - 3*t2 + 1,
 		h10: t3 - 2*t2 + t,
 		h01: -2*t3 + 3*t2,
