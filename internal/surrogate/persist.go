@@ -121,7 +121,7 @@ func (x *Index) Save(dir string) (int, error) {
 		if f.norm.Cluster != nil {
 			mf.Cluster = f.norm.Cluster.Name
 		}
-		for _, s := range f.samples {
+		for _, s := range f.sortedSamples() {
 			mf.Samples = append(mf.Samples, toJSON(s))
 		}
 		f.mu.Unlock()

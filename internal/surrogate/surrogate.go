@@ -20,9 +20,11 @@
 package surrogate
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -80,14 +82,27 @@ func (f *family) fitted() *Model {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.dirty {
-		ss := make([]sample, 0, len(f.samples))
-		for _, s := range f.samples {
-			ss = append(ss, s)
-		}
-		f.model.Store(fitModel(f.norm, f.report, ss))
+		f.model.Store(fitModel(f.norm, f.report, f.sortedSamples()))
 		f.dirty = false
 	}
 	return f.model.Load()
+}
+
+// sortedSamples returns the family's samples ordered by (ranks, clock),
+// so every fit adds its least-squares sums in the same order and refits
+// of the same samples are bit-identical. The caller holds f.mu.
+func (f *family) sortedSamples() []sample {
+	ss := make([]sample, 0, len(f.samples))
+	for _, s := range f.samples {
+		ss = append(ss, s)
+	}
+	slices.SortFunc(ss, func(a, b sample) int {
+		if c := cmp.Compare(a.ranks, b.ranks); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.clockHz, b.clockHz)
+	})
+	return ss
 }
 
 func (f *family) isDirty() bool {

@@ -406,3 +406,46 @@ func writeFile(t *testing.T, dir, name, content string) {
 		t.Fatal(err)
 	}
 }
+
+// TestRefitIsDeterministic fits the same observations many times and
+// requires bit-identical off-base-clock predictions: the least-squares
+// sums of the clock fit must add the samples in one fixed order, not in
+// the random iteration order of the family's sample map.
+func TestRefitIsDeterministic(t *testing.T) {
+	type point struct {
+		ranks int
+		hz    float64
+	}
+	points := []point{{8, 1.8e9}, {12, 2.2e9}}
+	var first []Prediction
+	for fit := 0; fit < 40; fit++ {
+		m, ok := seedIndex().Lookup(synthFamily())
+		if !ok {
+			t.Fatal("seeded index has no model")
+		}
+		for i, pt := range points {
+			p, err := m.Predict(pt.ranks, pt.hz)
+			if err != nil {
+				t.Fatalf("predict %+v: %v", pt, err)
+			}
+			if fit == 0 {
+				first = append(first, p)
+				continue
+			}
+			w := first[i]
+			for _, q := range []struct {
+				name      string
+				got, want float64
+			}{
+				{"Wall", p.Wall, w.Wall},
+				{"ChipEnergy", p.ChipEnergy, w.ChipEnergy},
+				{"DRAMEnergy", p.DRAMEnergy, w.DRAMEnergy},
+				{"Bound", p.Bound, w.Bound},
+			} {
+				if math.Float64bits(q.got) != math.Float64bits(q.want) {
+					t.Fatalf("fit %d at %+v: %s = %.17g, first fit gave %.17g", fit, pt, q.name, q.got, q.want)
+				}
+			}
+		}
+	}
+}
