@@ -118,12 +118,19 @@ func TestNodesFor(t *testing.T) {
 	}
 }
 
+// newSystem returns a serial System for n ranks of cs on env.
+func newSystem(env *sim.Env, cs *ClusterSpec, n int) *System {
+	sys := &System{}
+	sys.Reinit(sim.UniRouter{E: env}, cs, n)
+	return sys
+}
+
 // runPhases executes n ranks each running the same phase sequence and
 // returns the usage.
 func runPhases(t *testing.T, cs *ClusterSpec, n int, steps int, ph Phase) Usage {
 	t.Helper()
 	env := sim.NewEnv()
-	sys := NewSystem(env, cs, n)
+	sys := newSystem(env, cs, n)
 	for r := 0; r < n; r++ {
 		r := r
 		env.Spawn("rank", func(p *sim.Proc) {
@@ -364,7 +371,7 @@ func TestPhaseAddAndScale(t *testing.T) {
 func TestMPIAccounting(t *testing.T) {
 	a := ClusterA()
 	env := sim.NewEnv()
-	sys := NewSystem(env, a, 1)
+	sys := newSystem(env, a, 1)
 	env.Spawn("rank", func(p *sim.Proc) {
 		sys.Compute(p, 0, Phase{FlopsSIMD: 76.8e9})
 		start := p.Now()

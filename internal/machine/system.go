@@ -66,21 +66,6 @@ type RankStats struct {
 	Finish float64
 }
 
-// NewSystem allocates a runtime for n block-mapped ranks on the cluster.
-// It panics if n exceeds the cluster capacity, which is a configuration
-// error the caller must prevent.
-func NewSystem(env *sim.Env, spec *ClusterSpec, n int) *System {
-	if n <= 0 {
-		panic("machine: NewSystem with no ranks")
-	}
-	if n > spec.MaxRanks() {
-		panic(fmt.Sprintf("machine: %d ranks exceed %s capacity %d", n, spec.Name, spec.MaxRanks()))
-	}
-	s := &System{}
-	s.Reinit(env, spec, n)
-	return s
-}
-
 // domNames caches per-domain resource names for common domain counts so
 // per-job system construction does not Sprintf.
 var domNames = func() (d struct{ mem, l3 [128]string }) {
@@ -104,21 +89,18 @@ func domName(mem bool, i int) string {
 	return fmt.Sprintf("l3-dom%d", i)
 }
 
-// Reinit repoints a pooled System at a new serial environment; see
-// ReinitRouted for the partition-aware form.
-func (s *System) Reinit(env *sim.Env, spec *ClusterSpec, n int) {
-	s.ReinitRouted(sim.UniRouter{E: env}, spec, n)
-}
-
-// ReinitRouted repoints a pooled System at a new router, cluster, and
-// rank count, reusing the per-domain resource structs and the rank-stats
-// slice from previous runs. It resets all accounting to the zero state,
-// so a reinitialized System is observationally identical to a fresh one.
-// Each ccNUMA domain's L3/memory resources live on the environment of
-// the node holding it, so compute phases never touch another partition.
-func (s *System) ReinitRouted(rt sim.Router, spec *ClusterSpec, n int) {
+// Reinit points a System, new (the zero value) or pooled, at a router,
+// cluster, and rank count, reusing the per-domain resource structs and
+// the rank-stats slice from previous runs. It resets all accounting to
+// the zero state, so a reinitialized System is observationally identical
+// to a fresh one. Each ccNUMA domain's L3/memory resources live on the
+// environment of the node holding it, so compute phases never touch
+// another partition; a serial run passes sim.UniRouter. It panics if n
+// exceeds the cluster capacity, which is a configuration error the caller
+// must prevent.
+func (s *System) Reinit(rt sim.Router, spec *ClusterSpec, n int) {
 	if n <= 0 {
-		panic("machine: NewSystem with no ranks")
+		panic("machine: system with no ranks")
 	}
 	if n > spec.MaxRanks() {
 		panic(fmt.Sprintf("machine: %d ranks exceed %s capacity %d", n, spec.Name, spec.MaxRanks()))
@@ -132,12 +114,8 @@ func (s *System) ReinitRouted(rt sim.Router, spec *ClusterSpec, n int) {
 	// campaign oscillating between job shapes never reconstructs them;
 	// only the first `domains` entries are live for this job.
 	for len(s.memRes) < domains {
-		d := len(s.memRes)
-		env := rt.NodeEnv(d / dpn)
-		s.memRes = append(s.memRes, sim.NewPSResource(env, domName(true, d),
-			cpu.MemSaturatedPerDomain, cpu.MemPerCoreMax))
-		s.l3Res = append(s.l3Res, sim.NewPSResource(env, domName(false, d),
-			cpu.L3BandwidthPerDomain, cpu.L3BandwidthPerCoreMax))
+		s.memRes = append(s.memRes, new(sim.PSResource))
+		s.l3Res = append(s.l3Res, new(sim.PSResource))
 	}
 	for d := 0; d < domains; d++ {
 		env := rt.NodeEnv(d / dpn)
@@ -198,10 +176,10 @@ func (s *System) Compute(p *sim.Proc, rank int, ph Phase) {
 	start := p.Now()
 	var l3Flow, memFlow *sim.Flow
 	if ph.BytesL3 > 0 {
-		l3Flow = s.l3Res[dom].StartFlow(ph.BytesL3, nil)
+		l3Flow = s.l3Res[dom].StartFlow(ph.BytesL3, nil, nil)
 	}
 	if ph.BytesMem > 0 {
-		memFlow = s.memRes[dom].StartFlow(ph.BytesMem, nil)
+		memFlow = s.memRes[dom].StartFlow(ph.BytesMem, nil, nil)
 	}
 	s.bound[rank] = computeBound{until: start + tFixed, l3: l3Flow, mem: memFlow}
 	if tFixed > 0 {

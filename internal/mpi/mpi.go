@@ -351,7 +351,7 @@ func (j *Job) envOf(rank int) *sim.Env {
 
 // post schedules fn(arg) delay seconds from now on the partition of
 // dstRank's node, from code currently executing on srcRank's partition.
-// On the serial engine this is a plain AfterArg; on the parallel engine
+// On the serial engine this is a plain Env.After; on the parallel engine
 // cross-node posts travel through the window-barrier mailbox. delay must
 // be at least the fabric latency floor for cross-node posts — true for
 // every protocol event, which is what makes conservative windows safe.
@@ -516,12 +516,12 @@ func (j *Job) init(rt sim.Router, cfg Config, body func(r *Rank)) {
 	if j.sys == nil {
 		j.sys = &machine.System{}
 	}
-	j.sys.ReinitRouted(rt, cfg.Cluster, n)
+	j.sys.Reinit(rt, cfg.Cluster, n)
 	nodes := cfg.Cluster.NodesFor(n)
 	if j.net == nil {
 		j.net = &netsim.Network{}
 	}
-	j.net.ReinitRouted(rt, cfg.Net, nodes)
+	j.net.Reinit(rt, cfg.Net, nodes)
 
 	// Per-node arenas: drop last run's chunks, size this run's shape.
 	for len(j.parts) < nodes {

@@ -83,8 +83,8 @@ func (r *Rank) Waitany(reqs []*Request) int {
 // arrives at the destination one latency after injection (preserving MPI
 // pair ordering); its data arrives when the wire flows finish (eager) or
 // after the rendezvous handshake. The job pointer lets the protocol
-// advance through static callbacks (sim.AfterArg / netsim.StartTransferArg)
-// instead of per-message closures.
+// advance through static callbacks (sim.Env.After /
+// netsim.Network.StartTransfer) instead of per-message closures.
 type envelope struct {
 	job           *Job
 	src, dst      int
@@ -135,10 +135,10 @@ func rendezvousCTS(a any) {
 	srcNode := j.ranks[env.src].place.Node
 	dstNode := j.ranks[env.dst].place.Node
 	if srcNode == dstNode {
-		j.net.StartTransferArg(srcNode, dstNode, env.modelBytes, rendezvousDone, env)
+		j.net.StartTransfer(srcNode, dstNode, env.modelBytes, rendezvousDone, env)
 		return
 	}
-	j.net.StartTransferArg(srcNode, dstNode, env.modelBytes, rendezvousArrive, env)
+	j.net.StartTransfer(srcNode, dstNode, env.modelBytes, rendezvousArrive, env)
 }
 
 // rendezvousDone completes an intra-node rendezvous transfer. The
@@ -221,7 +221,7 @@ func (r *Rank) Isend(dst, tag int, data []float64, modelBytes float64) *Request 
 	if env.eager {
 		// Eager: buffer is on the wire; the send completes locally.
 		req.state = reqDone
-		j.net.StartTransferArg(srcNode, dstNode, modelBytes, eagerDataArrived, env)
+		j.net.StartTransfer(srcNode, dstNode, modelBytes, eagerDataArrived, env)
 	}
 	j.post(r.id, dst, lat, envHeaderArrive, env)
 	return req

@@ -100,7 +100,7 @@ type Network struct {
 	shmem  []*sim.PSResource // intra-node copy bandwidth per node
 
 	// pairChunk bump-allocates, per source node, the join records used
-	// by inter-node StartTransferArg. Sharded by node so concurrent
+	// by inter-node StartTransfer. Sharded by node so concurrent
 	// partitions never contend; the chunks die with the job (they are
 	// dropped on Reinit), so completions never alias across runs.
 	pairChunk [][]pairXfer
@@ -138,40 +138,22 @@ func nodeName(kind int, i int) string {
 	}
 }
 
-// New creates a Network for the given node count on a single serial
-// environment.
-func New(env *sim.Env, spec Spec, nodes int) *Network {
-	n := &Network{}
-	n.Reinit(env, spec, nodes)
-	return n
-}
-
-// Reinit repoints a pooled Network at a new serial environment; see
-// ReinitRouted for the partition-aware form.
-func (n *Network) Reinit(env *sim.Env, spec Spec, nodes int) {
-	n.ReinitRouted(sim.UniRouter{E: env}, spec, nodes)
-}
-
-// ReinitRouted repoints a pooled Network at a new router, spec, and node
-// count, reusing the per-node resource structs (and their allocated flow
-// lists) from previous runs. Growth beyond the previous maximum node
-// count allocates only the new tail. Each node's NIC and shared-memory
-// resources live on that node's partition environment, so partitions
-// only ever touch their own resources.
-func (n *Network) ReinitRouted(rt sim.Router, spec Spec, nodes int) {
+// Reinit points a Network, new (the zero value) or pooled, at a router,
+// spec, and node count, reusing the per-node resource structs (and their
+// allocated flow lists) from previous runs. Growth beyond the previous
+// maximum node count allocates only the new tail. Each node's NIC and
+// shared-memory resources live on that node's partition environment, so
+// partitions only ever touch their own resources; a serial run passes
+// sim.UniRouter.
+func (n *Network) Reinit(rt sim.Router, spec Spec, nodes int) {
 	if nodes <= 0 {
 		panic("netsim: network with no nodes")
 	}
 	n.rt, n.spec, n.nodes = rt, spec, nodes
 	for len(n.nicOut) < nodes {
-		i := len(n.nicOut)
-		env := rt.NodeEnv(i)
-		n.nicOut = append(n.nicOut, sim.NewPSResource(env, nodeName(0, i), spec.LinkBandwidth, 0))
-		n.nicIn = append(n.nicIn, sim.NewPSResource(env, nodeName(1, i), spec.LinkBandwidth, 0))
-		n.shmem = append(n.shmem, sim.NewPSResource(env, nodeName(2, i),
-			spec.ShmemBandwidthPerNode, spec.ShmemPerFlowMax))
-	}
-	for len(n.pairChunk) < nodes {
+		n.nicOut = append(n.nicOut, new(sim.PSResource))
+		n.nicIn = append(n.nicIn, new(sim.PSResource))
+		n.shmem = append(n.shmem, new(sim.PSResource))
 		n.pairChunk = append(n.pairChunk, nil)
 	}
 	for i := 0; i < nodes; i++ {
@@ -207,40 +189,6 @@ func (n *Network) post(src, dst int, delay float64, fn func(any), arg any) {
 	n.rt.Post(src, dst, n.rt.NodeEnv(src).Now()+delay, fn, arg)
 }
 
-// Transfer moves bytes from src node to dst node, blocking the calling
-// process for the wire time (excluding latency, which the caller pays
-// according to its protocol). Zero-byte transfers return immediately.
-// Serial-router only: it awaits the ejection flow from the sender's
-// partition, so the MPI runtime uses StartTransferArg instead.
-func (n *Network) Transfer(p *sim.Proc, src, dst int, bytes float64) {
-	if bytes <= 0 {
-		return
-	}
-	if src == dst {
-		// Copy-in + copy-out through node shared memory.
-		n.shmem[src].Transfer(p, 2*bytes)
-		return
-	}
-	out := n.nicOut[src].StartFlow(bytes, nil)
-	in := n.nicIn[dst].StartFlow(bytes, nil)
-	out.Await(p)
-	in.Await(p)
-}
-
-// callFunc adapts a captured func() to the static-callback transfer path.
-func callFunc(a any) { a.(func())() }
-
-// StartTransfer begins an asynchronous transfer and invokes done at the
-// destination when the bytes have fully arrived; the closure-capturing
-// convenience form of StartTransferArg.
-func (n *Network) StartTransfer(src, dst int, bytes float64, done func()) {
-	if done == nil {
-		n.StartTransferArg(src, dst, bytes, nil, nil)
-		return
-	}
-	n.StartTransferArg(src, dst, bytes, callFunc, done)
-}
-
 // pairXfer joins the legs of one inter-node transfer: the last byte
 // leaves the source wire one latency before it can be ejected, and the
 // stored callback fires at the destination when both the propagated
@@ -268,7 +216,7 @@ func xferInjected(a any) {
 // destination NIC under its current contention.
 func xferEject(a any) {
 	x := a.(*pairXfer)
-	x.net.nicIn[x.dst].StartFlowArg(x.bytes, xferLegDone, x)
+	x.net.nicIn[x.dst].StartFlow(x.bytes, xferLegDone, x)
 }
 
 // xferLegDone joins the two destination-side completion legs (last byte
@@ -282,10 +230,11 @@ func xferLegDone(a any) {
 	}
 }
 
-// StartTransferArg begins an asynchronous transfer and fires fn(arg) on
-// the DESTINATION node's partition when the bytes have fully arrived.
-// fn should be a top-level function; the inter-node join record comes
-// from a per-job bump arena, so steady-state transfers allocate nothing.
+// StartTransfer begins an asynchronous transfer and fires fn(arg), if fn
+// is non-nil, on the DESTINATION node's partition when the bytes have
+// fully arrived. fn should be a top-level function; the inter-node join
+// record comes from a per-job bump arena, so steady-state transfers
+// allocate nothing.
 //
 // Inter-node transfers are cut-through: injection starts now on the
 // source NIC, ejection starts one wire latency later on the destination
@@ -295,15 +244,15 @@ func xferLegDone(a any) {
 // property the conservative-lookahead window of internal/sim/psim is
 // built on. Zero-byte cross-node completions likewise arrive one
 // latency after the call.
-func (n *Network) StartTransferArg(src, dst int, bytes float64, fn func(any), arg any) {
+func (n *Network) StartTransfer(src, dst int, bytes float64, fn func(any), arg any) {
 	if src == dst {
 		if bytes <= 0 {
 			if fn != nil {
-				n.rt.NodeEnv(src).AfterArg(0, fn, arg)
+				n.rt.NodeEnv(src).After(0, fn, arg)
 			}
 			return
 		}
-		n.shmem[src].StartFlowArg(2*bytes, fn, arg)
+		n.shmem[src].StartFlow(2*bytes, fn, arg)
 		return
 	}
 	if bytes <= 0 {
@@ -315,6 +264,6 @@ func (n *Network) StartTransferArg(src, dst int, bytes float64, fn func(any), ar
 	x := sim.BumpAlloc(&n.pairChunk[src], 256)
 	x.net, x.src, x.dst, x.bytes = n, int32(src), int32(dst), bytes
 	x.need, x.fn, x.arg = 2, fn, arg
-	n.nicOut[src].StartFlowArg(bytes, xferInjected, x)
+	n.nicOut[src].StartFlow(bytes, xferInjected, x)
 	n.post(src, dst, n.spec.InterNodeLatency, xferEject, x)
 }

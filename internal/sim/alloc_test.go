@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-func nop() {}
+func nop(any) {}
 
 // TestScheduleAllocationFree pins the slab event queue's core property:
 // once the slab and heap have warmed up, scheduling and firing events —
@@ -15,11 +15,11 @@ func TestScheduleAllocationFree(t *testing.T) {
 	e := NewEnv()
 	var err error
 	tick := func() {
-		e.After(1, nop)    // heap path
-		e.After(0.25, nop) // heap path, fires first
-		e.After(0, nop)    // now-queue path
+		e.After(1, nop, nil)    // heap path
+		e.After(0.25, nop, nil) // heap path, fires first
+		e.After(0, nop, nil)    // now-queue path
 		if err == nil {
-			err = e.RunUntil(e.Now() + 2)
+			err = e.Run()
 		}
 	}
 	for i := 0; i < 4; i++ {
@@ -71,7 +71,7 @@ func TestTimedWaitAllocationFree(t *testing.T) {
 func TestCancelAllocationFree(t *testing.T) {
 	e := NewEnv()
 	churn := func() {
-		ev := e.After(5, nop)
+		ev := e.After(5, nop, nil)
 		ev.Cancel()
 	}
 	churn()
@@ -142,7 +142,7 @@ func TestCancelNowQueueEvent(t *testing.T) {
 	fired := false
 	var ev Event
 	e.Spawn("canceller", func(p *Proc) {
-		ev = e.After(0, func() { fired = true }) // same timestamp: now-queue
+		ev = e.After(0, func(any) { fired = true }, nil) // same timestamp: now-queue
 		ev.Cancel()
 	})
 	if err := e.Run(); err != nil {
@@ -164,7 +164,7 @@ func TestEnvPoolReuse(t *testing.T) {
 		e.Spawn("p", func(p *Proc) {
 			p.Wait(1.5)
 			r := NewPSResource(e, "mem", 10, 0)
-			r.Transfer(p, 30)
+			r.StartFlow(30, nil, nil).Await(p)
 			end = p.Now()
 		})
 		if err := e.Run(); err != nil {
@@ -209,7 +209,7 @@ func TestRetimeFlowKeepsOrder(t *testing.T) {
 	r := NewPSResource(e, "mem", 10, 0)
 	var order []string
 	e.Spawn("a", func(p *Proc) {
-		r.Transfer(p, 50) // alone until t=2, then shared
+		r.StartFlow(50, nil, nil).Await(p) // alone until t=2, then shared
 		order = append(order, "a")
 	})
 	e.Spawn("b", func(p *Proc) {
@@ -218,8 +218,8 @@ func TestRetimeFlowKeepsOrder(t *testing.T) {
 		// b finishes at t=6, a's completion event is retimed to t=7 with a
 		// FRESH sequence number — later than the timer's — so the timer
 		// must fire first, exactly as the cancel+reschedule engine did.
-		e.At(7, func() { order = append(order, "timer") })
-		r.Transfer(p, 20)
+		e.At(7, func(any) { order = append(order, "timer") }, nil)
+		r.StartFlow(20, nil, nil).Await(p)
 		order = append(order, "b")
 	})
 	if err := e.Run(); err != nil {

@@ -14,8 +14,8 @@ func BenchmarkScheduleFire(b *testing.B) {
 	e := NewEnv()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(1, nop)
-		if err := e.RunUntil(e.Now() + 1); err != nil {
+		e.After(1, nop, nil)
+		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -27,8 +27,8 @@ func BenchmarkNowQueueFire(b *testing.B) {
 	e := NewEnv()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(0, nop)
-		if err := e.RunUntil(e.Now()); err != nil {
+		e.After(0, nop, nil)
+		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func BenchmarkPSResourceChurn(b *testing.B) {
 		e.Spawn("p", func(p *Proc) {
 			p.Wait(float64(i)) // stagger arrivals
 			for j := 0; j < n; j++ {
-				r.Transfer(p, 100)
+				r.StartFlow(100, nil, nil).Await(p)
 			}
 		})
 	}

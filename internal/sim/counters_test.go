@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -15,16 +16,16 @@ func TestPSRetimesPerChange(t *testing.T) {
 			e := NewEnv()
 			r := NewPSResource(e, "mem", 100, 0)
 			for i := 0; i < k; i++ {
-				r.StartFlow(float64(10+i), nil) // distinct sizes: one completion per event
+				r.StartFlow(float64(10+i), nil, nil) // distinct sizes: one completion per event
 			}
 			before := e.Counters()
-			r.StartFlow(1000, nil)
+			r.StartFlow(1000, nil, nil)
 			if d := e.Counters().Retimes - before.Retimes; d != 1 {
 				t.Fatalf("start with %d active flows retimed %d times, want 1", k, d)
 			}
 			next, _ := e.NextEventTime()
 			before = e.Counters()
-			if err := e.RunUntil(next); err != nil {
+			if err := e.RunBefore(math.Nextafter(next, math.Inf(1))); err != nil {
 				t.Fatal(err)
 			}
 			if len(r.flows) != k {
@@ -50,10 +51,10 @@ func TestCountersCountWork(t *testing.T) {
 	e.Spawn("a", func(p *Proc) { // start, 2 waits, transfer: 4 switches
 		p.Wait(1)
 		p.Wait(1)
-		r.Transfer(p, 10)
+		r.StartFlow(10, nil, nil).Await(p)
 	})
 	e.Spawn("b", func(p *Proc) { // start, transfer: 2 switches
-		r.Transfer(p, 40)
+		r.StartFlow(40, nil, nil).Await(p)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -269,28 +269,20 @@ func (e *Env) allocSlot(t float64) int32 {
 // releaseSlot clears a detached slot's references and recycles its index.
 func (e *Env) releaseSlot(idx int32) {
 	s := &e.slots[idx]
-	s.fn, s.proc, s.proc2, s.res = nil, nil, nil, nil
-	s.fnArg, s.arg = nil, nil
+	s.fn, s.arg = nil, nil
+	s.proc, s.proc2, s.res = nil, nil, nil
 	s.dead = false
 	s.pos = posDetached
 	e.freeSlots = append(e.freeSlots, idx)
 }
 
-// schedule inserts a callback event at absolute time t.
-func (e *Env) schedule(t float64, fn func()) Event {
+// schedule inserts a callback event at absolute time t. The callback
+// function value need not capture state — everything it needs travels in
+// arg — so a top-level function allocates no closure.
+func (e *Env) schedule(t float64, fn func(any), arg any) Event {
 	idx := e.allocSlot(t)
 	s := &e.slots[idx]
-	s.kind, s.fn = evFn, fn
-	return Event{env: e, idx: idx, gen: s.gen}
-}
-
-// scheduleArg inserts a static-callback event at absolute time t. The
-// callback function value must not capture state — everything it needs
-// travels in arg — so the hot path allocates no closure.
-func (e *Env) scheduleArg(t float64, fn func(any), arg any) Event {
-	idx := e.allocSlot(t)
-	s := &e.slots[idx]
-	s.kind, s.fnArg, s.arg = evFnArg, fn, arg
+	s.kind, s.fn, s.arg = evCall, fn, arg
 	return Event{env: e, idx: idx, gen: s.gen}
 }
 
@@ -336,24 +328,17 @@ func (e *Env) retimeFlow(ev Event, t float64, r *PSResource) Event {
 	return e.scheduleFlow(t, r)
 }
 
-// At schedules fn to run at absolute virtual time t. The callback runs on
-// the scheduler and must not block in virtual time; use Spawn for blocking
-// logic.
-func (e *Env) At(t float64, fn func()) Event { return e.schedule(t, fn) }
+// At schedules fn(arg) to run at absolute virtual time t. The callback
+// runs on the scheduler and must not block in virtual time; use Spawn for
+// blocking logic. It carries its state in arg, so callers passing a
+// top-level function allocate nothing (MPI protocol events fire once per
+// message).
+func (e *Env) At(t float64, fn func(any), arg any) Event { return e.schedule(t, fn, arg) }
 
-// After schedules fn to run d seconds after the current time.
-func (e *Env) After(d float64, fn func()) Event { return e.schedule(e.now+d, fn) }
-
-// AtArg schedules fn(arg) to run at absolute virtual time t. Unlike At,
-// the callback carries its state in arg, so callers passing a top-level
-// function allocate nothing — the closure-free variant for hot paths
-// (MPI protocol events fire once per message).
-func (e *Env) AtArg(t float64, fn func(any), arg any) Event { return e.scheduleArg(t, fn, arg) }
-
-// AfterArg schedules fn(arg) to run d seconds after the current time; see
-// AtArg for the allocation contract.
-func (e *Env) AfterArg(d float64, fn func(any), arg any) Event {
-	return e.scheduleArg(e.now+d, fn, arg)
+// After schedules fn(arg) to run d seconds after the current time; see At
+// for the allocation contract.
+func (e *Env) After(d float64, fn func(any), arg any) Event {
+	return e.schedule(e.now+d, fn, arg)
 }
 
 // Proc is a simulation process: a coroutine whose execution is
@@ -533,7 +518,7 @@ func (p *Proc) WaitUntil(t float64) {
 	p.yield()
 }
 
-// Park blocks the process until another party calls Wake or WakeAt for it.
+// Park blocks the process until another party calls Wake for it.
 // If a wake token is already available (Wake happened first), Park consumes
 // it and returns immediately. The reason string appears in deadlock
 // reports; hot paths should pass a precomputed or constant string.
@@ -554,14 +539,11 @@ func (p *Proc) Park(reason string) {
 // between scheduling and firing), the wake is remembered as a token that
 // the next Park consumes; Park users re-check their condition in a loop, so
 // spurious tokens are harmless.
-func (e *Env) Wake(p *Proc) { e.WakeAt(e.now, p) }
-
-// WakeAt schedules a wake for process p at absolute virtual time t.
-func (e *Env) WakeAt(t float64, p *Proc) {
+func (e *Env) Wake(p *Proc) {
 	if p.state == StateDone {
 		panic(fmt.Sprintf("sim: waking finished process %q", p.name))
 	}
-	e.scheduleProc(t, evWake, p)
+	e.scheduleProc(e.now, evWake, p)
 }
 
 // WakePair schedules one event at the current time that wakes a and then
@@ -631,16 +613,13 @@ func (e *Env) peekNext() (int32, bool, bool) {
 func (e *Env) dispatch(idx int32) {
 	s := &e.slots[idx]
 	kind := s.kind
-	fn := s.fn
-	fnArg, arg := s.fnArg, s.arg
+	fn, arg := s.fn, s.arg
 	p, p2, res := s.proc, s.proc2, s.res
 	s.gen += 2 // fired: handles go stale with even parity (not cancelled)
 	e.releaseSlot(idx)
 	switch kind {
-	case evFn:
-		fn()
-	case evFnArg:
-		fnArg(arg)
+	case evCall:
+		fn(arg)
 	case evStart:
 		e.startProc(p)
 	case evResume:
@@ -659,45 +638,13 @@ func (e *Env) dispatch(idx int32) {
 // Run executes events until the queue is exhausted or a process panics.
 // It returns an error if a process panicked or if, after the queue drained,
 // some processes are still parked (a deadlock in the simulated system).
-func (e *Env) Run() error { return e.RunUntil(math.Inf(1)) }
-
-// RunUntil executes events with timestamps <= t. The clock is left at the
-// time of the last executed event (or at t if no event remained).
-func (e *Env) RunUntil(t float64) error {
-	if e.stopped {
-		return fmt.Errorf("sim: environment already stopped")
+func (e *Env) Run() error {
+	if err := e.RunBefore(math.Inf(1)); err != nil {
+		return err
 	}
-	for {
-		idx, fromHeap, ok := e.peekNext()
-		if !ok {
-			break
-		}
-		s := &e.slots[idx]
-		if s.time > t {
-			// Leave it queued for a later RunUntil call.
-			if e.now < t && !math.IsInf(t, 1) {
-				e.now = t
-			}
-			return e.failure
-		}
-		if fromHeap {
-			e.heapPopMin()
-		} else {
-			e.nowHead++
-			s.pos = posDetached
-		}
-		e.now = s.time
-		e.dispatch(idx)
-		if e.failure != nil {
-			e.stopped = true
-			return e.failure
-		}
-	}
-	if math.IsInf(t, 1) {
-		if err := e.deadlockError(); err != nil {
-			e.stopped = true
-			return err
-		}
+	if err := e.CheckDeadlock(); err != nil {
+		e.stopped = true
+		return err
 	}
 	return nil
 }
@@ -773,13 +720,11 @@ func (e *Env) EarliestOutput() float64 {
 	return nt
 }
 
-// CheckDeadlock reports parked processes on a drained environment; the
-// parallel engine calls it once every partition has run out of events
-// and no inter-partition messages remain.
-func (e *Env) CheckDeadlock() error { return e.deadlockError() }
-
-// deadlockError reports parked processes after the event queue drained.
-func (e *Env) deadlockError() error {
+// CheckDeadlock reports parked processes on a drained environment. Run
+// calls it once the queue is empty; the parallel engine calls it once
+// every partition has run out of events and no inter-partition messages
+// remain.
+func (e *Env) CheckDeadlock() error {
 	var stuck []*Proc
 	for _, p := range e.procs {
 		if p.state == StateParked {

@@ -15,8 +15,8 @@
 // index-based min-heap plus a FIFO "now queue" for events scheduled at
 // the current timestamp. Events are typed — process starts, timed-wait
 // resumes, wakes, and flow completions are dispatched directly on the
-// scheduler without per-event closures; only user callbacks (Env.At,
-// Env.After) carry a function value.
+// scheduler; only user callbacks (Env.At, Env.After) carry a function
+// value, which takes its state as an argument instead of capturing it.
 package sim
 
 // Event is a handle to a scheduled occurrence in virtual time. Events are
@@ -38,8 +38,9 @@ type Event struct {
 type evKind uint8
 
 const (
-	// evFn runs a user callback on the scheduler (Env.At / Env.After).
-	evFn evKind = iota
+	// evCall runs a user callback with its stored argument on the scheduler
+	// (Env.At / Env.After).
+	evCall evKind = iota
 	// evStart launches a spawned process.
 	evStart
 	// evResume resumes a process from a timed wait (Proc.Wait).
@@ -50,9 +51,6 @@ const (
 	evWakePair
 	// evFlow completes a PSResource's head flow.
 	evFlow
-	// evFnArg runs a static callback with a stored argument (Env.AtArg /
-	// Env.AfterArg) — the closure-free variant of evFn for hot paths.
-	evFnArg
 )
 
 // eventSlot is the in-queue representation of one event. Slots live in
@@ -65,8 +63,7 @@ const (
 type eventSlot struct {
 	time  float64
 	seq   uint64
-	fn    func()
-	fnArg func(any) // evFnArg: static callback taking arg, so no closure is built
+	fn    func(any) // evCall: callback taking arg, so no closure is built
 	arg   any
 	proc  *Proc
 	proc2 *Proc

@@ -267,7 +267,7 @@ func (g *Engine) NodeEnv(node int) *sim.Env { return g.parts[node].env }
 // run instead.
 func (g *Engine) Post(src, dst int, t float64, fn func(any), arg any) {
 	if src == dst {
-		g.parts[src].env.AtArg(t, fn, arg)
+		g.parts[src].env.At(t, fn, arg)
 		return
 	}
 	if t < g.window {
@@ -402,7 +402,7 @@ func (g *Engine) deliver() {
 		g.stat.Mail += int64(len(box))
 		slices.SortStableFunc(box, mailOrder)
 		for i := range box {
-			pd.env.AtArg(box[i].t, box[i].fn, box[i].arg)
+			pd.env.At(box[i].t, box[i].fn, box[i].arg)
 		}
 		clear(box)
 		g.inbox = box[:0]

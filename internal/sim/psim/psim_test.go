@@ -42,7 +42,7 @@ func TestCrossPartitionPingPong(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		g := Acquire(2, workers, look)
 		p := &ping{g: g, a: 0, b: 1, hops: 5, from: 0}
-		g.NodeEnv(0).AtArg(0, p.hop, nil)
+		g.NodeEnv(0).At(0, p.hop, nil)
 		if err := g.Run(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -72,7 +72,7 @@ func TestMergeOrderIsCanonical(t *testing.T) {
 		// Sources 3, 2, 1 post at identical times; source order must win.
 		for src := 3; src >= 1; src-- {
 			src := src
-			g.NodeEnv(src).AtArg(0, func(any) {
+			g.NodeEnv(src).At(0, func(any) {
 				t0 := g.NodeEnv(src).Now() + look
 				g.Post(src, 0, t0, rec, fmt.Sprintf("s%d-first", src))
 				g.Post(src, 0, t0, rec, fmt.Sprintf("s%d-second", src))
@@ -179,7 +179,7 @@ func TestAdaptiveFallsBackWithoutPromise(t *testing.T) {
 	g := Acquire(2, 2, look)
 	defer g.Release()
 	p := &ping{g: g, a: 0, b: 1, hops: 5, from: 0}
-	g.NodeEnv(0).AtArg(0, p.hop, nil)
+	g.NodeEnv(0).At(0, p.hop, nil)
 	if err := g.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestNarrowWindowsRunInline(t *testing.T) {
 					p.Wait(look / 100)
 				}
 			})
-			g.NodeEnv(i).AtArg(10*look, func(any) {}, nil)
+			g.NodeEnv(i).At(10*look, func(any) {}, nil)
 		}
 		if err := g.Run(); err != nil {
 			t.Fatal(err)

@@ -31,7 +31,7 @@ type refFlow struct {
 // start begins a flow of amount units; done(arg) fires on completion.
 func (r *refPS) start(amount float64, done func(any), arg any) {
 	if amount <= 0 {
-		r.env.AfterArg(0, done, arg)
+		r.env.After(0, done, arg)
 		return
 	}
 	r.advance()
@@ -67,7 +67,7 @@ func (r *refPS) reschedule() {
 	for _, f := range r.flows {
 		f.rate = rate
 		f.ev.Cancel()
-		f.ev = r.env.AtArg(r.env.now+f.remaining/rate, refComplete, f)
+		f.ev = r.env.At(r.env.now+f.remaining/rate, refComplete, f)
 	}
 }
 
@@ -160,7 +160,7 @@ func runSchedule(t *testing.T, s psSchedule, start func(e *Env, amount float64, 
 	for i, st := range s.starts {
 		tk := &psTicket{rec: rec, id: i}
 		amount := st.amount
-		e.At(st.at, func() { start(e, amount, recordCompletion, tk) })
+		e.At(st.at, func(any) { start(e, amount, recordCompletion, tk) }, nil)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestPSResourceMatchesReference(t *testing.T) {
 			if res == nil {
 				res = NewPSResource(e, "ps", s.capacity, s.flowCap)
 			}
-			res.StartFlowArg(amount, done, arg)
+			res.StartFlow(amount, done, arg)
 		})
 		var ref *refPS
 		want := runSchedule(t, s, func(e *Env, amount float64, done func(any), arg any) {
@@ -223,7 +223,7 @@ func TestPSResourceIdenticalFlowsClosedForm(t *testing.T) {
 					if res == nil {
 						res = NewPSResource(e, "ps", capacity, flowCap)
 					}
-					res.StartFlowArg(amount, done, arg)
+					res.StartFlow(amount, done, arg)
 				})
 				rate := capacity / float64(n)
 				if flowCap > 0 && flowCap < rate {

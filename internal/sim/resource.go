@@ -43,10 +43,9 @@ type PSResource struct {
 	arrivals   uint64
 	// ev is the completion event of the head flow.
 	ev Event
-	// parkTransfer and parkAwait are the Park reasons for blocked
-	// processes, precomputed so the hot path does not build strings.
-	parkTransfer string
-	parkAwait    string
+	// parkAwait is the Park reason of a process awaiting a flow,
+	// precomputed so the hot path does not build strings.
+	parkAwait string
 }
 
 // Flow is an in-flight transfer on a PSResource.
@@ -56,8 +55,7 @@ type Flow struct {
 	seq       uint64  // arrival order on the resource; breaks tag ties
 	proc      *Proc
 	completed bool
-	done      func()
-	doneArg   func(any) // closure-free completion callback (StartFlowArg)
+	done      func(any) // completion callback, called with arg
 	arg       any
 	next      *Flow // links a batch of flows completing at one instant
 }
@@ -87,21 +85,16 @@ func (f *Flow) EarliestFinish() float64 {
 // positive; flowCap <= 0 means individual flows are limited only by the
 // total capacity.
 func NewPSResource(env *Env, name string, capacity, flowCap float64) *PSResource {
-	if capacity <= 0 || math.IsNaN(capacity) {
-		panic(fmt.Sprintf("sim: PSResource %q with non-positive capacity %v", name, capacity))
-	}
-	return &PSResource{
-		env: env, Name: name, Capacity: capacity, FlowCap: flowCap,
-		parkTransfer: "transfer on " + name,
-		parkAwait:    "await flow on " + name,
-	}
+	r := new(PSResource)
+	r.Reinit(env, name, capacity, flowCap)
+	return r
 }
 
-// Reinit repoints a pooled resource at a new environment and parameters,
-// keeping its allocated flow-heap capacity and — when the name is
-// unchanged — its precomputed park-reason strings. It is the zero-cost
-// counterpart of NewPSResource for job-state pools that recycle whole
-// machine/network instances across simulation runs.
+// Reinit sets up a resource, new or pooled, for an environment and
+// parameters, keeping its allocated flow-heap capacity and — when the
+// name is unchanged — its precomputed park-reason string. Job-state pools
+// call it to recycle whole machine/network instances across simulation
+// runs; a zero PSResource is ready for it.
 func (r *PSResource) Reinit(env *Env, name string, capacity, flowCap float64) {
 	if capacity <= 0 || math.IsNaN(capacity) {
 		panic(fmt.Sprintf("sim: PSResource %q with non-positive capacity %v", name, capacity))
@@ -114,58 +107,26 @@ func (r *PSResource) Reinit(env *Env, name string, capacity, flowCap float64) {
 	r.ev = Event{}
 	if r.Name != name {
 		r.Name = name
-		r.parkTransfer = "transfer on " + name
 		r.parkAwait = "await flow on " + name
 	}
 }
 
-// Transfer moves amount units through the resource on behalf of process p,
-// blocking p in virtual time until the transfer completes. A non-positive
-// amount returns immediately.
-func (r *PSResource) Transfer(p *Proc, amount float64) {
-	if amount <= 0 {
-		return
-	}
-	p.mustBeCurrent("PSResource.Transfer")
-	f := r.env.allocFlow()
-	f.proc = p
-	r.start(f, amount)
-	for !f.completed {
-		p.Park(r.parkTransfer)
-	}
-}
-
-// StartFlow begins an asynchronous transfer of amount units and returns the
-// flow handle. The optional done callback fires on the scheduler when the
-// flow completes. Use Flow.Await from a process to block on completion.
-func (r *PSResource) StartFlow(amount float64, done func()) *Flow {
-	f := r.env.allocFlow()
-	if amount <= 0 {
-		f.res, f.completed = r, true
-		if done != nil {
-			r.env.After(0, done)
-		}
-		return f
-	}
-	f.done = done
-	r.start(f, amount)
-	return f
-}
-
-// StartFlowArg is the closure-free variant of StartFlow: fn(arg) fires on
-// completion, with fn expected to be a top-level function so the call
-// allocates nothing beyond the flow itself (which comes from the
-// environment's bump arena).
-func (r *PSResource) StartFlowArg(amount float64, fn func(any), arg any) *Flow {
+// StartFlow begins an asynchronous transfer of amount units and returns
+// the flow handle. If fn is non-nil, fn(arg) fires on the scheduler when
+// the flow completes; a top-level fn allocates nothing beyond the flow
+// itself, which comes from the environment's bump arena. A non-positive
+// amount completes at once. Use Flow.Await from a process to block on
+// completion.
+func (r *PSResource) StartFlow(amount float64, fn func(any), arg any) *Flow {
 	f := r.env.allocFlow()
 	if amount <= 0 {
 		f.res, f.completed = r, true
 		if fn != nil {
-			r.env.AfterArg(0, fn, arg)
+			r.env.After(0, fn, arg)
 		}
 		return f
 	}
-	f.doneArg, f.arg = fn, arg
+	f.done, f.arg = fn, arg
 	r.start(f, amount)
 	return f
 }
@@ -271,10 +232,7 @@ func (r *PSResource) complete() {
 			f.proc.wakeTokens++
 		}
 		if f.done != nil {
-			f.done()
-		}
-		if f.doneArg != nil {
-			f.doneArg(f.arg)
+			f.done(f.arg)
 		}
 		f = next
 	}

@@ -19,7 +19,7 @@ type Router interface {
 }
 
 // UniRouter is the serial Router: every node maps to the same Env and
-// Post degenerates to AtArg. It is the identity wiring that keeps the
+// Post degenerates to At. It is the identity wiring that keeps the
 // single-threaded engine byte-identical to its pre-partitioned form.
 type UniRouter struct {
 	E *Env
@@ -30,5 +30,5 @@ func (u UniRouter) NodeEnv(int) *Env { return u.E }
 
 // Post schedules fn(arg) at absolute time t on the single environment.
 func (u UniRouter) Post(_, _ int, t float64, fn func(any), arg any) {
-	u.E.AtArg(t, fn, arg)
+	u.E.At(t, fn, arg)
 }

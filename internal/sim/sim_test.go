@@ -168,7 +168,7 @@ func TestProcessPanicIsReported(t *testing.T) {
 	}
 }
 
-func TestRunUntilStopsEarly(t *testing.T) {
+func TestRunBeforeStopsEarly(t *testing.T) {
 	e := NewEnv()
 	ticks := 0
 	e.Spawn("ticker", func(p *Proc) {
@@ -177,13 +177,13 @@ func TestRunUntilStopsEarly(t *testing.T) {
 			ticks++
 		}
 	})
-	if err := e.RunUntil(10.5); err != nil {
+	if err := e.RunBefore(10.5); err != nil {
 		t.Fatal(err)
 	}
 	if ticks != 10 {
 		t.Fatalf("ticks = %d, want 10", ticks)
 	}
-	if err := e.RunUntil(20.5); err != nil {
+	if err := e.RunBefore(20.5); err != nil {
 		t.Fatal(err)
 	}
 	if ticks != 20 {
@@ -194,8 +194,8 @@ func TestRunUntilStopsEarly(t *testing.T) {
 func TestEventCancel(t *testing.T) {
 	e := NewEnv()
 	fired := false
-	ev := e.At(5, func() { fired = true })
-	e.At(1, func() { ev.Cancel() })
+	ev := e.At(5, func(any) { fired = true }, nil)
+	e.At(1, func(any) { ev.Cancel() }, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(5, func() {})
+	e.At(5, nop, nil)
 }
 
 func TestPSResourceSingleFlowFullRate(t *testing.T) {
@@ -226,7 +226,7 @@ func TestPSResourceSingleFlowFullRate(t *testing.T) {
 	r := NewPSResource(e, "mem", 10, 0)
 	var done float64
 	e.Spawn("p", func(p *Proc) {
-		r.Transfer(p, 100)
+		r.StartFlow(100, nil, nil).Await(p)
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -242,7 +242,7 @@ func TestPSResourceFlowCap(t *testing.T) {
 	r := NewPSResource(e, "mem", 10, 4)
 	var done float64
 	e.Spawn("p", func(p *Proc) {
-		r.Transfer(p, 100)
+		r.StartFlow(100, nil, nil).Await(p)
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -260,7 +260,7 @@ func TestPSResourceEqualSharing(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			r.Transfer(p, 100)
+			r.StartFlow(100, nil, nil).Await(p)
 			times[i] = p.Now()
 		})
 	}
@@ -282,12 +282,12 @@ func TestPSResourceStaggeredArrival(t *testing.T) {
 	r := NewPSResource(e, "mem", 10, 0)
 	var doneA, doneB float64
 	e.Spawn("a", func(p *Proc) {
-		r.Transfer(p, 100)
+		r.StartFlow(100, nil, nil).Await(p)
 		doneA = p.Now()
 	})
 	e.Spawn("b", func(p *Proc) {
 		p.Wait(5)
-		r.Transfer(p, 50)
+		r.StartFlow(50, nil, nil).Await(p)
 		doneB = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -304,8 +304,8 @@ func TestPSResourceRateReallocationAfterCompletion(t *testing.T) {
 	e := NewEnv()
 	r := NewPSResource(e, "mem", 10, 0)
 	var doneA, doneB float64
-	e.Spawn("a", func(p *Proc) { r.Transfer(p, 40); doneA = p.Now() })
-	e.Spawn("b", func(p *Proc) { r.Transfer(p, 100); doneB = p.Now() })
+	e.Spawn("a", func(p *Proc) { r.StartFlow(40, nil, nil).Await(p); doneA = p.Now() })
+	e.Spawn("b", func(p *Proc) { r.StartFlow(100, nil, nil).Await(p); doneB = p.Now() })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestPSResourceCapPreventsSpeedupWhenAlone(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			r.Transfer(p, sizes[i])
+			r.StartFlow(sizes[i], nil, nil).Await(p)
 			times[i] = p.Now()
 		})
 	}
@@ -347,7 +347,7 @@ func TestPSResourceZeroAmountIsInstant(t *testing.T) {
 	r := NewPSResource(e, "mem", 10, 0)
 	var done float64 = -1
 	e.Spawn("p", func(p *Proc) {
-		r.Transfer(p, 0)
+		r.StartFlow(0, nil, nil).Await(p)
 		done = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -363,7 +363,7 @@ func TestPSResourceAsyncFlowAwait(t *testing.T) {
 	r := NewPSResource(e, "mem", 10, 0)
 	var done float64
 	e.Spawn("p", func(p *Proc) {
-		f := r.StartFlow(50, nil)
+		f := r.StartFlow(50, nil, nil)
 		p.Wait(1) // overlap with the flow
 		f.Await(p)
 		done = p.Now()
@@ -398,7 +398,7 @@ func TestPSResourceWorkConservationProperty(t *testing.T) {
 		for i := range sizes {
 			i := i
 			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				r.Transfer(p, sizes[i])
+				r.StartFlow(sizes[i], nil, nil).Await(p)
 				times[i] = p.Now()
 				if p.Now() > last {
 					last = p.Now()
