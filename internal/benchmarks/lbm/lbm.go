@@ -149,13 +149,6 @@ func run(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
 	return rep, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // penalties bundles the alignment-model outputs for one rank's tile.
 type penalties struct {
 	core     float64 // multiplier on in-core time

@@ -564,7 +564,7 @@ func (s *Scheduler) execute(key string, rs spec.RunSpec) (spec.RunResult, error)
 		if err != nil {
 			s.count(func(st *Stats) { st.StoreFaults++ })
 		} else if ok {
-			if res, valid := rec.result(); valid {
+			if res, valid := rec.Result(); valid {
 				s.count(func(st *Stats) { st.StoreHits++ })
 				s.observe(res)
 				return res, nil

@@ -65,17 +65,13 @@ func NewRecord(key string, res spec.RunResult) Record {
 	}
 }
 
-// Result reconstructs the RunResult a record was snapshotted from —
-// exported for the fleet dispatcher, which receives Records over the
-// worker HTTP API and must reject malformed ones as retryable faults.
-func (r Record) Result() (spec.RunResult, bool) { return r.result() }
-
-// result reconstructs the RunResult a record was snapshotted from. It
+// Result reconstructs the RunResult a record was snapshotted from. It
 // reports false for records of a different format generation or with a
-// trace snapshot that does not cover the job's ranks (a truncated or
-// hand-edited record must degrade to a re-simulated miss, not panic a
-// renderer indexing per-rank sums).
-func (r Record) result() (spec.RunResult, bool) {
+// trace snapshot that does not cover the job's ranks: a truncated or
+// hand-edited store record must degrade to a re-simulated miss, not panic
+// a renderer indexing per-rank sums, and the fleet dispatcher rejects
+// such a record from a worker as a retryable fault.
+func (r Record) Result() (spec.RunResult, bool) {
 	if r.Format != recordFormat || len(r.TraceSums) != r.Spec.Ranks {
 		return spec.RunResult{}, false
 	}
