@@ -15,7 +15,7 @@ func BenchmarkScheduleFire(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(1, nop, nil)
-		if err := e.Run(); err != nil {
+		if err := e.RunBefore(e.Now() + 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -28,7 +28,7 @@ func BenchmarkNowQueueFire(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.After(0, nop, nil)
-		if err := e.Run(); err != nil {
+		if err := e.RunBefore(e.Now() + 1); err != nil {
 			b.Fatal(err)
 		}
 	}
