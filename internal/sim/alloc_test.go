@@ -19,7 +19,7 @@ func TestScheduleAllocationFree(t *testing.T) {
 		e.After(0.25, nop, nil) // heap path, fires first
 		e.After(0, nop, nil)    // now-queue path
 		if err == nil {
-			err = e.Run()
+			err = e.RunBefore(e.Now() + 2)
 		}
 	}
 	for i := 0; i < 4; i++ {
