@@ -125,9 +125,9 @@ func main() {
 	if *clock < 0 {
 		fatal(fmt.Errorf("invalid -clock %g (want positive GHz, 0 = base clock)", *clock))
 	}
-	class := bench.Tiny
-	if *classFlag == "small" {
-		class = bench.Small
+	class, err := bench.ParseClass(*classFlag)
+	if err != nil {
+		fatal(err)
 	}
 	points, err := parseRanks(*ranks, cluster.CPU.CoresPerDomain())
 	if err != nil {

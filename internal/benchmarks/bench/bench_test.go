@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -149,5 +150,30 @@ func TestRunReport(t *testing.T) {
 	rr.Checks = []Check{{Name: "x", OK: true}, {Name: "y", OK: false}}
 	if rr.Valid() {
 		t.Error("report with failing check claimed valid")
+	}
+}
+
+// TestParseClass pins the one class parser shared by scenario files,
+// the job API, and cmd/spechpc: empty means tiny, case and blanks are
+// ignored, and every other name is an error.
+func TestParseClass(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Class
+		ok   bool
+	}{
+		{"", Tiny, true},
+		{"tiny", Tiny, true},
+		{" Small ", Small, true},
+		{"small", Small, true},
+		{"medium", 0, false},
+	} {
+		got, err := ParseClass(tc.in)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("ParseClass(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "unknown class")) {
+			t.Errorf("ParseClass(%q) = %v, %v; want an unknown class error", tc.in, got, err)
+		}
 	}
 }

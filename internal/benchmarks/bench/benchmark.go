@@ -14,6 +14,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"github.com/spechpc/spechpc-sim/internal/mpi"
 )
@@ -38,6 +39,20 @@ func (c Class) String() string {
 		return "small"
 	default:
 		return fmt.Sprintf("Class(%d)", int(c))
+	}
+}
+
+// ParseClass maps a class name onto its Class: "tiny" (or empty, the
+// default) and "small", in any case and with surrounding blanks. Every
+// other name is an error, so a misspelt class never runs another suite.
+func ParseClass(s string) (Class, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "", "tiny":
+		return Tiny, nil
+	case "small":
+		return Small, nil
+	default:
+		return 0, fmt.Errorf("unknown class %q (want tiny or small)", s)
 	}
 }
 

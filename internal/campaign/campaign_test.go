@@ -264,11 +264,11 @@ func TestSweepAllCoversCrossProduct(t *testing.T) {
 }
 
 // TestPooledEnvReuseAcrossWorkers drives many fresh simulations through
-// a parallel worker pool, twice, so workers concurrently acquire,
-// release, and reuse pooled sim environments (event slabs, process
-// structs, coroutines). Run under -race in CI, this pins the
-// thread-safety of pooled-buffer reuse; the result comparison between
-// the two rounds pins that reuse never leaks state between jobs.
+// a parallel worker pool, twice, so workers concurrently take, idle,
+// and reuse recycled MPI Jobs and their sim environments (event slabs,
+// process structs, coroutines). Run under -race in CI, this pins the
+// thread-safety of the free list; the result comparison between the
+// two rounds pins that reuse never leaks state between jobs.
 func TestPooledEnvReuseAcrossWorkers(t *testing.T) {
 	cluster := machine.MustGet("ClusterA")
 	jobs := make([]spec.RunSpec, 0, 12)
@@ -293,19 +293,20 @@ func TestPooledEnvReuseAcrossWorkers(t *testing.T) {
 		}
 		a, b := first[i].Result.Usage, second[i].Result.Usage
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("job %d: usage differs across pooled reruns:\n%+v\n%+v", i, a, b)
+			t.Fatalf("job %d: usage differs across reruns on recycled Jobs:\n%+v\n%+v", i, a, b)
 		}
 	}
 }
 
-// TestPooledJobReuseOscillatingShapes stresses the job-pool Reinit paths
-// the allocation-free MPI layer introduced: rank counts that oscillate
-// between large and small (growing and shrinking the pooled rank,
-// resource, and arena slices) and jobs alternating between clusters
-// (repointing pooled Systems at different specs). Concurrent execution
-// must produce results identical to a single-worker run of the same
-// batch — any stale pooled state (leaked envelopes, mis-sized rank
-// slices, reused payload arenas) shows up as a diff or as a -race report.
+// TestPooledJobReuseOscillatingShapes stresses the recycled-Job Reinit
+// paths the allocation-free MPI layer introduced: rank counts that
+// oscillate between large and small (growing and shrinking the Job's
+// rank, resource, and arena slices) and jobs alternating between
+// clusters (repointing recycled Systems at different specs). Concurrent
+// execution must produce results identical to a single-worker run of
+// the same batch — any stale recycled state (leaked envelopes,
+// mis-sized rank slices, reused payload arenas) shows up as a diff or
+// as a -race report.
 func TestPooledJobReuseOscillatingShapes(t *testing.T) {
 	a := machine.MustGet("ClusterA")
 	bCluster := machine.MustGet("ClusterB")

@@ -35,9 +35,10 @@ func (e *errKilled) Error() string { return "chaos: host " + e.host + " killed" 
 // the target URL) except heartbeat drops, which are keyed by the
 // sending worker's ID (fleet.WorkerHeader).
 type Controller struct {
-	mu     sync.Mutex
-	rules  map[string]*rule
-	dropHB map[string]bool
+	mu      sync.Mutex
+	rules   map[string]*rule
+	dropHB  map[string]bool
+	dropped map[string]int // heartbeats dropped per worker ID
 }
 
 type rule struct {
@@ -50,7 +51,8 @@ type rule struct {
 
 // New builds a fault-free controller.
 func New() *Controller {
-	return &Controller{rules: make(map[string]*rule), dropHB: make(map[string]bool)}
+	return &Controller{rules: make(map[string]*rule), dropHB: make(map[string]bool),
+		dropped: make(map[string]int)}
 }
 
 // Host extracts the "host:port" rule key from a base URL, panicking on
@@ -142,6 +144,17 @@ func (c *Controller) DeliverHeartbeats(workerID string) {
 	delete(c.dropHB, workerID)
 }
 
+// HeartbeatsDropped returns how many heartbeats from workerID the
+// controller has dropped so far. The production join loop sends one
+// heartbeat at a time, so once this count moves past its value at
+// DropHeartbeats, every earlier heartbeat has been answered: none is
+// still in flight to revive the worker.
+func (c *Controller) HeartbeatsDropped(workerID string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dropped[workerID]
+}
+
 // Transport wraps base (nil means http.DefaultTransport) with the
 // controller's fault rules. Use it as the Transport of every client
 // whose traffic the test wants under chaos control.
@@ -166,7 +179,8 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	c := t.ctl
 
 	c.mu.Lock()
-	if req.URL.Path == fleet.HeartbeatPath && c.dropHB[req.Header.Get(fleet.WorkerHeader)] {
+	if id := req.Header.Get(fleet.WorkerHeader); req.URL.Path == fleet.HeartbeatPath && c.dropHB[id] {
+		c.dropped[id]++
 		c.mu.Unlock()
 		return nil, &errKilled{host: host}
 	}

@@ -300,7 +300,20 @@ func (c *lockedClock) Advance(d time.Duration) {
 // heartbeats are then dropped until the coordinator ages it to Dead,
 // and healing the partition resurrects it — all on an injected clock,
 // so the thresholds are exact.
-func TestHeartbeatPartitionAndHeal(t *testing.T) {
+func TestHeartbeatPartitionAndHeal(t *testing.T) { heartbeatPartitionAndHeal(t, 0) }
+
+// TestHeartbeatPartitionAndHealDelayed runs the partition drill with
+// 30 ms of latency on requests to the coordinator from just before the
+// partition, which keeps a heartbeat sent before the drop in flight
+// while the drop starts. Such a heartbeat is real evidence that the
+// worker lives; the drill must not let it land after the clock jump.
+func TestHeartbeatPartitionAndHealDelayed(t *testing.T) {
+	heartbeatPartitionAndHeal(t, 30*time.Millisecond)
+}
+
+// heartbeatPartitionAndHeal is the partition drill with the given
+// latency on the coordinator host.
+func heartbeatPartitionAndHeal(t *testing.T, delay time.Duration) {
 	clk := &lockedClock{now: time.Unix(1_700_000_000, 0)}
 	registry := fleet.NewRegistry(3*time.Second, 10*time.Second)
 	registry.SetClock(clk.Now)
@@ -350,9 +363,25 @@ func TestHeartbeatPartitionAndHeal(t *testing.T) {
 	}
 
 	waitFor(fleet.Alive, "after join")
+	if delay > 0 {
+		// Heartbeats sent from now on take delay to arrive; one sent
+		// within the next tick is still halfway there at the partition.
+		ctl.Delay(chaos.Host(ts.URL), delay)
+		time.Sleep(delay / 2)
+	}
 
 	// Partition: heartbeats vanish, the clock marches past DeadAfter.
+	// Join sends one heartbeat at a time, so once one is dropped no
+	// earlier heartbeat is still in flight; advancing sooner would let
+	// a late one land after the jump and stamp the worker alive.
 	ctl.DropHeartbeats("jw")
+	deadline := time.Now().Add(10 * time.Second)
+	for ctl.HeartbeatsDropped("jw") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no heartbeat dropped within 10s of the partition")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	clk.Advance(11 * time.Second)
 	waitFor(fleet.Dead, "after 11s of heartbeat silence")
 	// The drop is total, so the worker cannot flap back on its own.

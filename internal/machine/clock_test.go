@@ -11,7 +11,7 @@ import (
 // in-core peaks from the new clock while uncore and memory stay flat.
 func TestWithClockDerivesPeaks(t *testing.T) {
 	a := MustGet("ClusterA")
-	d, err := a.WithClock(1.2e9)
+	d, err := a.withClock(1.2e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestWithClockDerivesPeaks(t *testing.T) {
 	}
 	// The original spec is untouched.
 	if a.CPU.BaseClockHz != MustGet("ClusterA").CPU.BaseClockHz {
-		t.Error("WithClock mutated its receiver")
+		t.Error("withClock mutated its receiver")
 	}
 }
 
@@ -53,15 +53,15 @@ func TestWithClockDerivesPeaks(t *testing.T) {
 // re-deriving a derived spec back to a clock equals deriving it directly.
 func TestWithClockComposes(t *testing.T) {
 	a := MustGet("ClusterA")
-	direct, err := a.WithClock(2.0e9)
+	direct, err := a.withClock(2.0e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := a.WithClock(1.0e9)
+	low, err := a.withClock(1.0e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indirect, err := low.WithClock(2.0e9)
+	indirect, err := low.withClock(2.0e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +87,12 @@ func rel(a, b float64) float64 {
 func TestWithClockRejects(t *testing.T) {
 	a := MustGet("ClusterA")
 	for _, hz := range []float64{0.1e9, 5e9} {
-		if _, err := a.WithClock(hz); err == nil {
+		if _, err := a.withClock(hz); err == nil {
 			t.Errorf("clock %g Hz outside ladder accepted", hz)
 		}
 	}
 	// Quantization snaps off-step requests onto the ladder.
-	d, err := a.WithClock(1.234e9)
+	d, err := a.withClock(1.234e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +102,10 @@ func TestWithClockRejects(t *testing.T) {
 
 	pinned := MustGet("ClusterB")
 	pinned.CPU.DVFS = dvfs.Model{}
-	if _, err := pinned.WithClock(1.5e9); err == nil {
+	if _, err := pinned.withClock(1.5e9); err == nil {
 		t.Error("cluster without DVFS accepted a clock change")
 	}
-	same, err := pinned.WithClock(pinned.CPU.BaseClockHz)
+	same, err := pinned.withClock(pinned.CPU.BaseClockHz)
 	if err != nil {
 		t.Errorf("pinned cluster rejected its own base clock: %v", err)
 	} else if same.CPU.BaseClockHz != pinned.CPU.BaseClockHz {
@@ -113,56 +113,56 @@ func TestWithClockRejects(t *testing.T) {
 	}
 }
 
-// TestWithClockCached pins the memoization contract: repeated requests
+// TestWithClockShared pins the memoization contract: repeated requests
 // (including off-step requests snapping to the same ladder point) share
-// one derived spec identical to a fresh WithClock derivation, and error
-// paths behave exactly like the uncached method.
-func TestWithClockCached(t *testing.T) {
+// one derived spec identical to a fresh withClock derivation, and error
+// paths behave exactly like the uncached derivation.
+func TestWithClockShared(t *testing.T) {
 	a := MustGet("ClusterA")
-	d1, err := a.WithClockCached(1.6e9)
+	d1, err := a.WithClock(1.6e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := a.WithClockCached(1.6e9)
+	d2, err := a.WithClock(1.6e9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d1 != d2 {
-		t.Error("repeated WithClockCached returned distinct derivations")
+		t.Error("repeated WithClock returned distinct derivations")
 	}
 	// An off-step request snapping to the same ladder point shares the
 	// same memo entry.
-	d3, err := a.WithClockCached(1.61e9)
+	d3, err := a.WithClock(1.61e9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d3 != d1 {
 		t.Error("snapped request did not share the ladder point's memo entry")
 	}
-	fresh, err := a.WithClock(1.6e9)
+	fresh, err := a.withClock(1.6e9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *fresh != *d1 {
-		t.Error("cached derivation differs from a fresh WithClock")
+		t.Error("cached derivation differs from a fresh withClock")
 	}
 	// A cluster with the same hardware but a different identity (or a
 	// mutated copy) must not collide with the cached entry.
 	b := MustGet("ClusterA")
 	b.CPU.L2PerCore *= 2
-	m1, err := b.WithClockCached(1.6e9)
+	m1, err := b.WithClock(1.6e9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1 == d1 {
 		t.Error("mutated cluster shared the unmutated cluster's memo entry")
 	}
-	if _, err := a.WithClockCached(9e9); err == nil {
+	if _, err := a.WithClock(9e9); err == nil {
 		t.Error("out-of-range clock accepted by cached path")
 	}
 	pinned := MustGet("ClusterB")
 	pinned.CPU.DVFS = dvfs.Model{}
-	if _, err := pinned.WithClockCached(1.5e9); err == nil {
+	if _, err := pinned.WithClock(1.5e9); err == nil {
 		t.Error("cluster without DVFS accepted a clock change via cache")
 	}
 }

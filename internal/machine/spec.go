@@ -183,7 +183,7 @@ func (cs *ClusterSpec) Place(rank int) Placement {
 	}
 }
 
-// WithClock derives a copy of the cluster running at a different core
+// withClock derives a copy of the cluster running at a different core
 // clock. The requested frequency is snapped to the CPU's DVFS ladder and
 // must lie within [MinHz, MaxHz]; clusters without a DVFS model reject
 // every clock other than their pinned BaseClockHz.
@@ -196,7 +196,7 @@ func (cs *ClusterSpec) Place(rank int) Placement {
 // DRAM bandwidth, the socket power baseline, DRAM power — is held flat,
 // which is what makes reduced clocks nearly free for memory-bound
 // kernels. The derived spec is revalidated before it is returned.
-func (cs *ClusterSpec) WithClock(hz float64) (*ClusterSpec, error) {
+func (cs *ClusterSpec) withClock(hz float64) (*ClusterSpec, error) {
 	cpu := &cs.CPU
 	if !cpu.DVFS.Enabled() {
 		if hz == cpu.BaseClockHz {
@@ -215,8 +215,8 @@ func (cs *ClusterSpec) WithClock(hz float64) (*ClusterSpec, error) {
 	out := *cs
 	c := &out.CPU
 	// Power terms are stored at the current clock; rescaling by the
-	// factor ratio keeps WithClock exact under composition
-	// (a.WithClock(x).WithClock(y) == a.WithClock(y)).
+	// factor ratio keeps withClock exact under composition
+	// (a.withClock(x).withClock(y) == a.withClock(y)).
 	pf := c.DVFS.PowerFactor(q) / c.DVFS.PowerFactor(c.BaseClockHz)
 	c.CoreDynMaxPower *= pf
 	c.CoreStallPower *= pf
@@ -229,7 +229,7 @@ func (cs *ClusterSpec) WithClock(hz float64) (*ClusterSpec, error) {
 	return &out, nil
 }
 
-// clockKey identifies a WithClock derivation: the source cluster by
+// clockKey identifies a withClock derivation: the source cluster by
 // value (ClusterSpec holds only scalars, so it is a valid map key) and
 // the clock snapped onto its DVFS ladder.
 type clockKey struct {
@@ -237,28 +237,28 @@ type clockKey struct {
 	hz   float64
 }
 
-// clockCache memoizes WithClock derivations process-wide. Frequency
+// clockCache memoizes withClock derivations process-wide. Frequency
 // sweeps submit one job per ladder point and campaigns re-submit the
 // same points for every figure; deriving and revalidating the scaled
 // spec once per (cluster, snapped clock) removes that per-job cost.
 var clockCache sync.Map // clockKey -> *ClusterSpec
 
-// WithClockCached is WithClock behind a process-wide memo keyed by
-// (cluster value, ladder-snapped clock): requests snapping to the same
-// ladder step share one derived spec, so each point validates once per
-// process. The returned spec is shared — callers must treat it as
-// immutable. Error paths (no DVFS model, clock out of range) are not
-// cached and behave exactly like WithClock.
-func (cs *ClusterSpec) WithClockCached(hz float64) (*ClusterSpec, error) {
+// WithClock derives the cluster running at a different core clock (see
+// withClock for the scaling model), memoized process-wide by (cluster
+// value, ladder-snapped clock): requests snapping to the same ladder
+// step share one derived spec, so each point validates once per
+// process. The returned spec is shared — callers must not mutate it.
+// Error paths (no DVFS model, clock out of range) are not cached.
+func (cs *ClusterSpec) WithClock(hz float64) (*ClusterSpec, error) {
 	cpu := &cs.CPU
 	if !cpu.DVFS.Enabled() || hz < cpu.DVFS.MinHz || hz > cpu.DVFS.MaxHz {
-		return cs.WithClock(hz)
+		return cs.withClock(hz)
 	}
 	key := clockKey{spec: *cs, hz: cpu.DVFS.Quantize(hz)}
 	if v, ok := clockCache.Load(key); ok {
 		return v.(*ClusterSpec), nil
 	}
-	out, err := cs.WithClock(hz)
+	out, err := cs.withClock(hz)
 	if err != nil {
 		return nil, err
 	}

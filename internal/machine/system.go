@@ -66,30 +66,7 @@ type RankStats struct {
 	Finish float64
 }
 
-// domNames caches per-domain resource names for common domain counts so
-// per-job system construction does not Sprintf.
-var domNames = func() (d struct{ mem, l3 [128]string }) {
-	for i := range d.mem {
-		d.mem[i] = fmt.Sprintf("mem-dom%d", i)
-		d.l3[i] = fmt.Sprintf("l3-dom%d", i)
-	}
-	return
-}()
-
-func domName(mem bool, i int) string {
-	if i < len(domNames.mem) {
-		if mem {
-			return domNames.mem[i]
-		}
-		return domNames.l3[i]
-	}
-	if mem {
-		return fmt.Sprintf("mem-dom%d", i)
-	}
-	return fmt.Sprintf("l3-dom%d", i)
-}
-
-// Reinit points a System, new (the zero value) or pooled, at a router,
+// Reinit points a System, new (the zero value) or reused, at a router,
 // cluster, and rank count, reusing the per-domain resource structs and
 // the rank-stats slice from previous runs. It resets all accounting to
 // the zero state, so a reinitialized System is observationally identical
@@ -113,14 +90,14 @@ func (s *System) Reinit(rt sim.Router, spec *ClusterSpec, n int) {
 	// The resource slices keep their high-water length across reuses so a
 	// campaign oscillating between job shapes never reconstructs them;
 	// only the first `domains` entries are live for this job.
-	for len(s.memRes) < domains {
-		s.memRes = append(s.memRes, new(sim.PSResource))
-		s.l3Res = append(s.l3Res, new(sim.PSResource))
+	for d := len(s.memRes); d < domains; d++ {
+		s.memRes = append(s.memRes, &sim.PSResource{Name: fmt.Sprintf("mem-dom%d", d)})
+		s.l3Res = append(s.l3Res, &sim.PSResource{Name: fmt.Sprintf("l3-dom%d", d)})
 	}
 	for d := 0; d < domains; d++ {
 		env := rt.NodeEnv(d / dpn)
-		s.memRes[d].Reinit(env, domName(true, d), cpu.MemSaturatedPerDomain, cpu.MemPerCoreMax)
-		s.l3Res[d].Reinit(env, domName(false, d), cpu.L3BandwidthPerDomain, cpu.L3BandwidthPerCoreMax)
+		s.memRes[d].Reinit(env, cpu.MemSaturatedPerDomain, cpu.MemPerCoreMax)
+		s.l3Res[d].Reinit(env, cpu.L3BandwidthPerDomain, cpu.L3BandwidthPerCoreMax)
 	}
 	for len(s.rank) < n {
 		s.rank = append(s.rank, RankStats{})

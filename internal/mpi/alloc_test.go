@@ -13,14 +13,14 @@ import (
 //
 // Budgets are set ~30-50% above the measured steady state (11-44
 // allocs/job at the time of writing) to absorb amortized arena-chunk
-// refills and pool misses, while still catching any per-message or
+// refills, while still catching any per-message or
 // per-rank regression: one closure per send alone costs hundreds of
 // allocs per job at these message counts.
 
 // allocsPerJob measures the average allocations of one full Run after
-// warming the job/env pools. testing.AllocsPerRun does not force GC
-// between runs, so pooled state survives and the measurement reflects
-// the steady state a campaign sweep sees.
+// warming an idle Job. Recycled Jobs survive garbage collections
+// (TestJobsSurviveGC), so the measurement reflects the steady state a
+// campaign sweep sees.
 func allocsPerJob(t *testing.T, ranks int, body func(r *Rank)) float64 {
 	t.Helper()
 	if raceEnabled {
@@ -33,7 +33,7 @@ func allocsPerJob(t *testing.T, ranks int, body func(r *Rank)) float64 {
 		}
 	}
 	for i := 0; i < 3; i++ {
-		run() // warm sync.Pool entries and high-water slice capacities
+		run() // warm an idle Job's high-water slice capacities
 	}
 	return testing.AllocsPerRun(10, run)
 }

@@ -20,6 +20,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -76,12 +77,16 @@ type Result struct {
 	Sim sim.Counters
 }
 
-// Job is the runtime state of a simulated MPI application. Jobs are
-// recycled through jobPool: the System/Network instances, the Rank
-// structs (with their matching-queue and collective-scratch capacity),
-// and the spawn closures all survive across runs, so a steady-state
-// campaign job performs no per-rank setup allocation.
+// Job is the runtime state of a simulated MPI application and the one
+// owner of everything a run recycles: the serial environment, the
+// parallel engine with its partition environments, the System/Network
+// instances, the Rank structs (with their matching-queue and
+// collective-scratch capacity), and the spawn closures all survive
+// across runs, so a steady-state campaign job performs no per-rank
+// setup allocation. Idle Jobs wait on the idleJobs free list.
 type Job struct {
+	env   *sim.Env     // serial engine, created by the first serial run
+	eng   *psim.Engine // parallel engine, created by the first partitioned run
 	rt    sim.Router
 	sys   *machine.System
 	net   *netsim.Network
@@ -229,10 +234,10 @@ var testOracleCheck func(*Job)
 // partArena is one node's bump arenas (sim.BumpAlloc) for protocol
 // objects. Envelopes, requests, and messages all die with the job, so
 // handing them out from chunks trades one allocation per object for one
-// per chunk. The chunks are dropped (not pooled) when the job is
+// per chunk. The chunks are dropped (not reused) when the job is
 // released: any payload or message a rank body leaked to its caller
 // stays valid forever, pinned by the GC, instead of being clobbered by
-// the next pooled run.
+// the next run of the Job.
 type partArena struct {
 	ranks    int // ranks on this node, for chunk sizing
 	envChunk []envelope
@@ -362,21 +367,49 @@ func (j *Job) post(srcRank, dstRank int, delay float64, fn func(any), arg any) {
 	j.rt.Post(srcNode, dstNode, e.Now()+delay, fn, arg)
 }
 
-// jobPool recycles Job state across runs. Like the sim environment pool,
-// each campaign worker acquires its own Job, so reuse is race-free by
-// construction; failed runs (deadlock, panic) are abandoned to the GC
-// because blocked rank coroutines may still reference them.
-var jobPool = sync.Pool{New: func() any { return &Job{} }}
+// idleJobs is the free list of Jobs between runs, most recently used
+// first. It holds at most runtime.GOMAXPROCS(0) Jobs, one per executor
+// that can run a job at once; Jobs released beyond that are dropped to
+// the GC. The GC never empties the list, so how much a job allocates
+// does not depend on when the last collection ran.
+var idleJobs struct {
+	sync.Mutex
+	list []*Job
+}
+
+// getJob takes the most recently idled Job, or a new one.
+func getJob() *Job {
+	idleJobs.Lock()
+	defer idleJobs.Unlock()
+	n := len(idleJobs.list) - 1
+	if n < 0 {
+		return &Job{}
+	}
+	j := idleJobs.list[n]
+	idleJobs.list[n] = nil
+	idleJobs.list = idleJobs.list[:n]
+	return j
+}
+
+// putJob idles a Job after a clean run, unless the list is full.
+func putJob(j *Job) {
+	idleJobs.Lock()
+	defer idleJobs.Unlock()
+	if len(idleJobs.list) < runtime.GOMAXPROCS(0) {
+		idleJobs.list = append(idleJobs.list, j)
+	}
+}
 
 // Rank is one MPI process. All methods must be called from within the
 // rank's own body function.
 type Rank struct {
 	job   *Job
 	id    int
+	name  string // process name, built once when the Rank is created
 	proc  *sim.Proc
 	place machine.Placement
 	body  func(*Rank)
-	runFn func(*sim.Proc) // persistent spawn closure; reused across pooled runs
+	runFn func(*sim.Proc) // persistent spawn closure; reused across runs
 
 	unexpected []*envelope
 	posted     []*Request
@@ -447,66 +480,71 @@ func Run(cfg Config, body func(r *Rank)) (Result, error) {
 		return Result{}, err
 	}
 
-	// A multi-node job with SimWorkers > 1 runs on the conservative-
-	// lookahead parallel engine; everything else runs serially. The two
-	// paths produce byte-identical results (pinned by the determinism
-	// goldens), so the choice is purely a wall-clock matter.
-	nodes := cfg.Cluster.NodesFor(cfg.Ranks)
-	if cfg.SimWorkers > 1 && nodes > 1 {
-		return runPartitioned(cfg, nodes, body)
-	}
-
-	// Environments and job state come from pools: event slabs, process
-	// structs and their coroutines, machine/network resources, and Rank
-	// structs are all recycled across campaign jobs. Failed runs
-	// (deadlock, panic) are abandoned instead of released, since blocked
-	// rank coroutines may still reference them.
-	env := sim.AcquireEnv()
-	job := jobPool.Get().(*Job)
-	job.init(sim.UniRouter{E: env}, cfg, body)
-	if err := env.Run(); err != nil {
+	// A failed run (deadlock, panic) never returns its Job to the free
+	// list: blocked rank coroutines may still reference it.
+	j := getJob()
+	res, err := j.run(cfg, body)
+	if err != nil {
 		return Result{}, err
 	}
-	u := job.sys.Usage()
-	work := env.Counters()
-	sim.ReleaseEnv(env)
-	job.release()
+	putJob(j)
+	return res, nil
+}
+
+// run executes one validated job on the Job's own engines. A
+// multi-node job with SimWorkers > 1 runs on the conservative-
+// lookahead parallel engine; everything else runs serially. The two
+// paths produce byte-identical results (pinned by the determinism
+// goldens), so the choice is purely a wall-clock matter.
+func (j *Job) run(cfg Config, body func(r *Rank)) (Result, error) {
+	nodes := cfg.Cluster.NodesFor(cfg.Ranks)
+	if cfg.SimWorkers > 1 && nodes > 1 {
+		return j.runPartitioned(cfg, nodes, body)
+	}
+	if j.env == nil {
+		j.env = sim.NewEnv()
+	}
+	j.init(sim.UniRouter{E: j.env}, cfg, body)
+	if err := j.env.Run(); err != nil {
+		return Result{}, err
+	}
+	u := j.sys.Usage()
+	work := j.env.Counters()
+	j.env.Reset()
+	j.release()
 	return Result{Usage: u, Trace: cfg.Trace, Wall: u.Wall, Sim: work}, nil
 }
 
 // runPartitioned executes a multi-node job on the psim engine: one
 // partition per node, advancing concurrently inside lookahead windows
 // derived from the fabric latency floor.
-func runPartitioned(cfg Config, nodes int, body func(r *Rank)) (Result, error) {
+func (j *Job) runPartitioned(cfg Config, nodes int, body func(r *Rank)) (Result, error) {
 	floor, err := cfg.Net.LatencyFloor()
 	if err != nil {
 		return Result{}, fmt.Errorf("mpi: SimWorkers=%d: %w", cfg.SimWorkers, err)
 	}
-	eng := psim.Acquire(nodes, cfg.SimWorkers, floor)
-	job := jobPool.Get().(*Job)
-	job.init(eng, cfg, body)
-	job.attachOracle(eng, nodes)
-	if err := eng.Run(); err != nil {
-		// Failed runs abandon the job (blocked rank coroutines may still
-		// reference it); the engine releases what stayed clean.
-		eng.Release()
+	if j.eng == nil {
+		j.eng = &psim.Engine{}
+	}
+	j.eng.Reset(nodes, cfg.SimWorkers, floor)
+	j.init(j.eng, cfg, body)
+	j.attachOracle(j.eng, nodes)
+	if err := j.eng.Run(); err != nil {
 		return Result{}, err
 	}
 	if testOracleCheck != nil {
-		testOracleCheck(job)
+		testOracleCheck(j)
 	}
-	u := job.sys.Usage()
-	st, work := eng.Stats(), eng.Counters()
-	eng.Release()
-	job.release()
+	u := j.sys.Usage()
+	j.release()
 	return Result{Usage: u, Trace: cfg.Trace, Wall: u.Wall,
-		Partitioned: true, Psim: st, Sim: work}, nil
+		Partitioned: true, Psim: j.eng.Stats(), Sim: j.eng.Counters()}, nil
 }
 
-// init prepares a pooled Job for one run: reinitializes the machine and
+// init prepares a Job for one run: reinitializes the machine and
 // network instances in place, resets the live ranks, and precomputes the
-// collective topology. In steady state (shapes at or below the pool
-// entry's high-water marks) it allocates nothing. The router decides the
+// collective topology. In steady state (shapes at or below the Job's
+// high-water marks) it allocates nothing. The router decides the
 // execution mode: sim.UniRouter for the serial engine, a psim.Engine for
 // partitioned execution — the job wiring is identical either way.
 func (j *Job) init(rt sim.Router, cfg Config, body func(r *Rank)) {
@@ -523,24 +561,23 @@ func (j *Job) init(rt sim.Router, cfg Config, body func(r *Rank)) {
 	}
 	j.net.Reinit(rt, cfg.Net, nodes)
 
-	// Per-node arenas: drop last run's chunks, size this run's shape.
+	// Per-node arenas, sized for this run's shape; release dropped the
+	// last run's chunks.
 	for len(j.parts) < nodes {
 		j.parts = append(j.parts, partArena{})
 	}
 	cpn := cfg.Cluster.CPU.CoresPerNode()
 	for node := 0; node < nodes; node++ {
-		pa := &j.parts[node]
-		pa.drop()
 		onNode := n - node*cpn
 		if onNode > cpn {
 			onNode = cpn
 		}
-		pa.ranks = onNode
+		j.parts[node].ranks = onNode
 	}
 
 	// Collective topology for this job: identity participant list and
 	// node-leader list, shared by every collective call of the run.
-	j.cpn = cfg.Cluster.CPU.CoresPerNode()
+	j.cpn = cpn
 	j.allRanks = j.allRanks[:0]
 	j.leaders = j.leaders[:0]
 	for i := 0; i < n; i++ {
@@ -550,10 +587,10 @@ func (j *Job) init(rt sim.Router, cfg Config, body func(r *Rank)) {
 		j.leaders = append(j.leaders, l)
 	}
 
-	for len(j.rankStore) < n {
-		r := &Rank{job: j, id: len(j.rankStore)}
+	for id := len(j.rankStore); id < n; id++ {
+		r := &Rank{job: j, id: id, name: fmt.Sprintf("rank%d", id)}
 		// The spawn closure is built once per Rank lifetime and reused
-		// by every pooled run, so spawning allocates no per-run closure.
+		// by every run, so spawning allocates no per-run closure.
 		r.runFn = func(p *sim.Proc) {
 			r.proc = p
 			r.body(r)
@@ -565,20 +602,19 @@ func (j *Job) init(rt sim.Router, cfg Config, body func(r *Rank)) {
 		j.rankStore = append(j.rankStore, r)
 	}
 	j.ranks = j.rankStore[:n]
-	for i, r := range j.ranks {
-		r.place = cfg.Cluster.Place(i)
+	for _, r := range j.ranks {
+		r.place = cfg.Cluster.Place(r.id)
 		r.body = body
 		r.collSeq, r.collKind, r.inColl = 0, 0, false
 		r.oState = oActive
 		// Each rank lives on the partition simulating its node; under
 		// the serial router every node maps to the same environment.
-		r.proc = rt.NodeEnv(r.place.Node).Spawn(rankName(i), r.runFn)
+		r.proc = rt.NodeEnv(r.place.Node).Spawn(r.name, r.runFn)
 	}
 }
 
 // release drops the job-scoped arenas (so leaked payloads stay valid,
-// pinned by the GC), severs references the pool must not retain, and
-// returns the Job for reuse.
+// pinned by the GC) and severs references an idle Job must not retain.
 func (j *Job) release() {
 	j.rt, j.rec = nil, nil
 	for i := range j.parts {
@@ -588,29 +624,11 @@ func (j *Job) release() {
 		r.body, r.proc = nil, nil
 		// The matching queues are empty after a clean run, but their
 		// backing arrays still hold stale pointers into the dropped
-		// chunks; clear up to capacity so the pool does not pin them.
+		// chunks; clear up to capacity so the idle Job does not pin them.
 		clear(r.posted[:cap(r.posted)])
 		clear(r.unexpected[:cap(r.unexpected)])
 		r.posted, r.unexpected = r.posted[:0], r.unexpected[:0]
 	}
-	jobPool.Put(j)
-}
-
-// rankNames caches process names for common rank counts so spawning a
-// job does not Sprintf once per rank.
-var rankNames = func() [1024]string {
-	var n [1024]string
-	for i := range n {
-		n[i] = fmt.Sprintf("rank%d", i)
-	}
-	return n
-}()
-
-func rankName(i int) string {
-	if i < len(rankNames) {
-		return rankNames[i]
-	}
-	return fmt.Sprintf("rank%d", i)
 }
 
 // ID returns the rank number.

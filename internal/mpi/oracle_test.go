@@ -168,7 +168,7 @@ func TestAdaptiveZeroComputeFloor(t *testing.T) {
 }
 
 // TestWorkerOscillation bounces one job between the serial engine and
-// partitioned runs at several worker counts, on pooled jobs and
+// partitioned runs at several worker counts, on recycled Jobs and their
 // environments; results must stay bit-identical throughout. Under -race
 // this also exercises the oracle's cross-window atomics against the
 // engine's barrier reads.

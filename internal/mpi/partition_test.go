@@ -61,8 +61,8 @@ func TestPartitionedMatchesSerial(t *testing.T) {
 }
 
 // TestPartitionedWorkerOscillation re-runs one job with worker counts
-// bouncing between serial and partitioned, stressing pooled-job reuse:
-// a serial run must be able to recycle state a partitioned run left
+// bouncing between serial and partitioned, stressing Job reuse: a
+// serial run must be able to recycle state a partitioned run left
 // behind and vice versa. Run under -race this also checks partition
 // concurrency. Results must stay bit-identical throughout.
 func TestPartitionedWorkerOscillation(t *testing.T) {

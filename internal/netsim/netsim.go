@@ -106,39 +106,7 @@ type Network struct {
 	pairChunk [][]pairXfer
 }
 
-// nodeNames caches per-node resource names for common node counts so
-// building (or reinitializing) a network does not Sprintf per node.
-var nodeNames = func() (n struct{ out, in, shm [64]string }) {
-	for i := range n.out {
-		n.out[i] = fmt.Sprintf("nic-out%d", i)
-		n.in[i] = fmt.Sprintf("nic-in%d", i)
-		n.shm[i] = fmt.Sprintf("shmem%d", i)
-	}
-	return
-}()
-
-func nodeName(kind int, i int) string {
-	if i < len(nodeNames.out) {
-		switch kind {
-		case 0:
-			return nodeNames.out[i]
-		case 1:
-			return nodeNames.in[i]
-		default:
-			return nodeNames.shm[i]
-		}
-	}
-	switch kind {
-	case 0:
-		return fmt.Sprintf("nic-out%d", i)
-	case 1:
-		return fmt.Sprintf("nic-in%d", i)
-	default:
-		return fmt.Sprintf("shmem%d", i)
-	}
-}
-
-// Reinit points a Network, new (the zero value) or pooled, at a router,
+// Reinit points a Network, new (the zero value) or reused, at a router,
 // spec, and node count, reusing the per-node resource structs (and their
 // allocated flow lists) from previous runs. Growth beyond the previous
 // maximum node count allocates only the new tail. Each node's NIC and
@@ -150,17 +118,17 @@ func (n *Network) Reinit(rt sim.Router, spec Spec, nodes int) {
 		panic("netsim: network with no nodes")
 	}
 	n.rt, n.spec, n.nodes = rt, spec, nodes
-	for len(n.nicOut) < nodes {
-		n.nicOut = append(n.nicOut, new(sim.PSResource))
-		n.nicIn = append(n.nicIn, new(sim.PSResource))
-		n.shmem = append(n.shmem, new(sim.PSResource))
+	for i := len(n.nicOut); i < nodes; i++ {
+		n.nicOut = append(n.nicOut, &sim.PSResource{Name: fmt.Sprintf("nic-out%d", i)})
+		n.nicIn = append(n.nicIn, &sim.PSResource{Name: fmt.Sprintf("nic-in%d", i)})
+		n.shmem = append(n.shmem, &sim.PSResource{Name: fmt.Sprintf("shmem%d", i)})
 		n.pairChunk = append(n.pairChunk, nil)
 	}
 	for i := 0; i < nodes; i++ {
 		env := rt.NodeEnv(i)
-		n.nicOut[i].Reinit(env, nodeName(0, i), spec.LinkBandwidth, 0)
-		n.nicIn[i].Reinit(env, nodeName(1, i), spec.LinkBandwidth, 0)
-		n.shmem[i].Reinit(env, nodeName(2, i), spec.ShmemBandwidthPerNode, spec.ShmemPerFlowMax)
+		n.nicOut[i].Reinit(env, spec.LinkBandwidth, 0)
+		n.nicIn[i].Reinit(env, spec.LinkBandwidth, 0)
+		n.shmem[i].Reinit(env, spec.ShmemBandwidthPerNode, spec.ShmemPerFlowMax)
 		n.pairChunk[i] = nil
 	}
 }

@@ -89,18 +89,6 @@ func stripComments(data []byte) []byte {
 	return bytes.Join(out, []byte("\n"))
 }
 
-// parseClass maps the file-format class names onto bench classes.
-func parseClass(s string) (bench.Class, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "tiny":
-		return bench.Tiny, nil
-	case "small":
-		return bench.Small, nil
-	default:
-		return 0, fmt.Errorf("scenario: unknown class %q (want tiny or small)", s)
-	}
-}
-
 // parsePoints decodes the polymorphic points field.
 func parsePoints(raw json.RawMessage) (Points, error) {
 	if len(raw) == 0 {
@@ -185,7 +173,7 @@ func Parse(data []byte, fallbackName string) (*Scenario, error) {
 	}
 	sc.Mode = mode
 	for i, s := range fs.Sweeps {
-		class, err := parseClass(s.Class)
+		class, err := bench.ParseClass(s.Class)
 		if err != nil {
 			return nil, fmt.Errorf("scenario sweep %d: %w", i+1, err)
 		}
@@ -210,7 +198,7 @@ func Parse(data []byte, fallbackName string) (*Scenario, error) {
 		})
 	}
 	for i, j := range fs.Jobs {
-		class, err := parseClass(j.Class)
+		class, err := bench.ParseClass(j.Class)
 		if err != nil {
 			return nil, fmt.Errorf("scenario job %d: %w", i+1, err)
 		}

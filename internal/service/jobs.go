@@ -66,7 +66,7 @@ func (jr jobRequest) runSpec() (spec.RunSpec, error) {
 	if err != nil {
 		return spec.RunSpec{}, err
 	}
-	class, err := parseClass(jr.Class)
+	class, err := bench.ParseClass(jr.Class)
 	if err != nil {
 		return spec.RunSpec{}, err
 	}

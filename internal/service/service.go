@@ -51,7 +51,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -397,16 +396,4 @@ func (s *Server) handleClusters(w http.ResponseWriter, r *http.Request) {
 		out = append(out, info)
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// parseClass maps the API class names onto bench classes.
-func parseClass(s string) (bench.Class, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "tiny":
-		return bench.Tiny, nil
-	case "small":
-		return bench.Small, nil
-	default:
-		return 0, fmt.Errorf("unknown class %q (want tiny or small)", s)
-	}
 }

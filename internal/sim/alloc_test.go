@@ -156,8 +156,8 @@ func TestCancelNowQueueEvent(t *testing.T) {
 	}
 }
 
-// TestEnvPoolReuse verifies a released environment comes back reset and
-// produces identical results, reusing its slab and process structs.
+// TestEnvPoolReuse verifies a reset environment comes back at time zero
+// and produces identical results, reusing its slab and process structs.
 func TestEnvPoolReuse(t *testing.T) {
 	run := func(e *Env) float64 {
 		var end float64
@@ -172,32 +172,41 @@ func TestEnvPoolReuse(t *testing.T) {
 		}
 		return end
 	}
-	e := AcquireEnv()
+	e := NewEnv()
 	first := run(e)
-	ReleaseEnv(e)
-	e2 := AcquireEnv() // may or may not be the same object; both must work
-	defer ReleaseEnv(e2)
-	if e2.Now() != 0 || len(e2.procs) != 0 {
-		t.Fatalf("pooled env not reset: now=%v procs=%d", e2.Now(), len(e2.procs))
+	slots, proc := len(e.slots), e.procs[0]
+	if !e.Reset() {
+		t.Fatal("Reset refused a cleanly finished environment")
 	}
-	if second := run(e2); second != first {
-		t.Fatalf("pooled rerun produced %v, want %v", second, first)
+	if e.Now() != 0 || len(e.procs) != 0 || e.Counters() != (Counters{}) {
+		t.Fatalf("env not rewound: now=%v procs=%d counters=%+v", e.Now(), len(e.procs), e.Counters())
+	}
+	if second := run(e); second != first {
+		t.Fatalf("rerun produced %v, want %v", second, first)
+	}
+	if len(e.slots) != slots || e.procs[0] != proc {
+		t.Fatalf("rerun grew the slab to %d slots (was %d) or built a new process", len(e.slots), slots)
 	}
 }
 
-// TestReleaseEnvRejectsDirtyEnv verifies failed runs are not recycled:
-// a deadlocked environment keeps parked goroutines alive and must not
-// reach the pool.
-func TestReleaseEnvRejectsDirtyEnv(t *testing.T) {
+// TestResetRejectsDirtyEnv verifies failed runs are not recycled: a
+// deadlocked environment keeps parked coroutines alive, so Reset
+// refuses it and leaves its state as the failure left it.
+func TestResetRejectsDirtyEnv(t *testing.T) {
 	e := NewEnv()
-	e.Spawn("stuck", func(p *Proc) { p.Park("forever") })
+	stuck := e.Spawn("stuck", func(p *Proc) {
+		p.Wait(1)
+		p.Park("forever")
+	})
 	if err := e.Run(); err == nil {
 		t.Fatal("expected deadlock")
 	}
-	if e.clean() {
-		t.Fatal("deadlocked env reported clean")
+	if e.Reset() {
+		t.Fatal("Reset accepted a deadlocked environment")
 	}
-	ReleaseEnv(e) // must be a no-op; nothing to assert beyond not panicking
+	if e.Now() != 1 || len(e.procs) != 1 || stuck.State() != StateParked {
+		t.Fatalf("Reset changed a dirty env: now=%v procs=%d state=%v", e.Now(), len(e.procs), stuck.State())
+	}
 }
 
 // TestRetimeFlowKeepsOrder pins the determinism contract of in-place

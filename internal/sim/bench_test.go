@@ -4,7 +4,7 @@ import "testing"
 
 // The scheduler microbenchmarks pin the engine's hot paths in isolation:
 // heap events, now-queue wakes, timed process waits, processor-sharing
-// retime churn, and pooled whole-run turnaround. scripts/bench_compare.sh
+// retime churn, and reused whole-run turnaround. scripts/bench_compare.sh
 // gates these in CI against the parent commit, or against the recorded
 // bench/baseline.bench.
 
@@ -75,13 +75,13 @@ func BenchmarkPSResourceChurn(b *testing.B) {
 	}
 }
 
-// BenchmarkPooledRun measures whole-run turnaround through the pool:
-// acquire, spawn processes, run to completion, release. This is the
+// BenchmarkPooledRun measures whole-run turnaround on a reused
+// environment: spawn processes, run to completion, Reset. This is the
 // per-job overhead every campaign worker pays.
 func BenchmarkPooledRun(b *testing.B) {
+	e := NewEnv()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := AcquireEnv()
 		for p := 0; p < 8; p++ {
 			e.Spawn("p", func(p *Proc) {
 				p.Wait(1)
@@ -91,6 +91,8 @@ func BenchmarkPooledRun(b *testing.B) {
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
-		ReleaseEnv(e)
+		if !e.Reset() {
+			b.Fatal("run left the environment dirty")
+		}
 	}
 }

@@ -7,12 +7,11 @@ import (
 	"time"
 )
 
-// pooledRun runs one small job on a pooled environment: procs processes
+// reusedRun runs one small job on e and rewinds it: procs processes
 // that wait, park and wake each other, so every coroutine both yields
 // and resumes several times before it finishes.
-func pooledRun(t *testing.T, procs int) {
+func reusedRun(t *testing.T, e *Env, procs int) {
 	t.Helper()
-	e := AcquireEnv()
 	var parked []*Proc
 	for i := 0; i < procs; i++ {
 		parked = append(parked, e.Spawn("p", func(p *Proc) {
@@ -30,20 +29,26 @@ func pooledRun(t *testing.T, procs int) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ReleaseEnv(e)
+	if !e.Reset() {
+		t.Fatal("clean run left the environment dirty")
+	}
 }
 
 // TestDroppedEnvsStopTheirCoroutines pins the coroutine lifetime
 // contract: finished processes keep idle coroutines for reuse, and an
-// environment that becomes garbage — dropped from envPool by the GC, or
-// never pooled — stops them, so no goroutine outlives its environment.
+// environment that becomes garbage — dropped by its owner after many
+// runs, or after just one — stops them, so no goroutine outlives its
+// environment.
 func TestDroppedEnvsStopTheirCoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		pooledRun(t, 8+i%5) // oscillating shapes grow the proc lists
+	for i := 0; i < 10; i++ {
+		e := NewEnv()
+		for k := 0; k < 5; k++ {
+			reusedRun(t, e, 8+k) // growing shapes grow the proc lists
+		}
 	}
 	for i := 0; i < 20; i++ {
-		e := NewEnv() // never pooled: dropped straight to the GC
+		e := NewEnv() // one run, then dropped straight to the GC
 		e.Spawn("p", func(p *Proc) { p.Wait(1) })
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -52,8 +57,8 @@ func TestDroppedEnvsStopTheirCoroutines(t *testing.T) {
 	const slack = 4
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		// sync.Pool needs two collections to drop its entries; cleanups
-		// then stop the coroutines on the cleanup goroutine.
+		// Cleanups stop the coroutines on the cleanup goroutine after
+		// the collection that finds their environments unreachable.
 		runtime.GC()
 		n := runtime.NumGoroutine()
 		if n <= base+slack {
@@ -67,8 +72,8 @@ func TestDroppedEnvsStopTheirCoroutines(t *testing.T) {
 }
 
 // TestPooledSpawnAllocationFree pins coroutine reuse: once an
-// environment has run a job shape, rerunning it spawns its processes on
-// the finished processes' coroutines and allocates nothing.
+// environment has run a job shape, rerunning it after Reset spawns its
+// processes on the finished processes' coroutines and allocates nothing.
 func TestPooledSpawnAllocationFree(t *testing.T) {
 	e := NewEnv()
 	body := func(p *Proc) {
@@ -82,21 +87,21 @@ func TestPooledSpawnAllocationFree(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if !e.clean() {
+		if !e.Reset() {
 			t.Fatal("run left the environment dirty")
 		}
-		e.reset()
 	}
 	run()
 	if a := testing.AllocsPerRun(50, run); a != 0 {
-		t.Fatalf("pooled spawn+run allocates %v objects/op, want 0", a)
+		t.Fatalf("reused spawn+run allocates %v objects/op, want 0", a)
 	}
 }
 
 // TestPanicThenReuse verifies a panicking process surfaces as the
 // environment's failure with its name, and that the coroutines of the
-// processes that finished normally in that run stay usable: the failed
-// environment is abandoned, but a fresh pooled run is unaffected.
+// processes that finished normally in that run stay usable: Reset
+// refuses the failed environment, and a fresh environment's runs are
+// unaffected.
 func TestPanicThenReuse(t *testing.T) {
 	e := NewEnv()
 	e.Spawn("fine", func(p *Proc) { p.Wait(1) })
@@ -108,8 +113,8 @@ func TestPanicThenReuse(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"boom" panicked: kaboom`) {
 		t.Fatalf("Run() = %v, want the panic of process boom", err)
 	}
-	if e.failure == nil || e.clean() {
-		t.Fatal("panicked run must leave Env.failure set and the env dirty")
+	if e.failure == nil || e.Reset() {
+		t.Fatal("panicked run must leave Env.failure set and Reset refusing the env")
 	}
-	pooledRun(t, 3)
+	reusedRun(t, NewEnv(), 3)
 }

@@ -44,9 +44,9 @@ func TestPSRetimesPerChange(t *testing.T) {
 }
 
 // TestCountersCountWork checks each counter against a run whose work is
-// known exactly, and that recycling an environment zeroes them.
+// known exactly, and that resetting an environment zeroes them.
 func TestCountersCountWork(t *testing.T) {
-	e := AcquireEnv()
+	e := NewEnv()
 	r := NewPSResource(e, "mem", 10, 0)
 	e.Spawn("a", func(p *Proc) { // start, 2 waits, transfer: 4 switches
 		p.Wait(1)
@@ -69,13 +69,13 @@ func TestCountersCountWork(t *testing.T) {
 	if got := e.Counters(); got != want {
 		t.Fatalf("counters = %+v, want %+v", got, want)
 	}
-	ReleaseEnv(e)
 	if got := (&Env{}).Counters(); got != (Counters{}) {
 		t.Fatalf("zero env counters = %+v", got)
 	}
-	e2 := AcquireEnv()
-	defer ReleaseEnv(e2)
-	if got := e2.Counters(); got != (Counters{}) {
-		t.Fatalf("pooled env counters not reset: %+v", got)
+	if !e.Reset() {
+		t.Fatal("Reset refused a cleanly finished environment")
+	}
+	if got := e.Counters(); got != (Counters{}) {
+		t.Fatalf("reset env counters = %+v", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
-	"sync"
 )
 
 // ProcState describes what a process is currently doing. It is exported so
@@ -47,8 +46,8 @@ func (s ProcState) String() string {
 }
 
 // Env is a discrete-event simulation environment: a virtual clock, an event
-// queue, and a set of processes. An Env must be created with NewEnv (or
-// taken from the pool with AcquireEnv). It is not safe for concurrent use
+// queue, and a set of processes. An Env must be created with NewEnv and
+// can be rewound for another run with Reset. It is not safe for concurrent use
 // from multiple OS threads; all interaction happens either from the
 // goroutine that calls Run or from within process functions (which the
 // scheduler serializes).
@@ -112,7 +111,7 @@ func (c Counters) Add(o Counters) Counters {
 }
 
 // Counters returns the work counts since the environment was created or
-// last recycled through the pool.
+// last rewound with Reset.
 func (e *Env) Counters() Counters { return e.counters }
 
 // OutputOracle is a conservative promise about an environment's next
@@ -131,34 +130,24 @@ type OutputOracle interface {
 func NewEnv() *Env {
 	e := &Env{coros: &coroSet{}}
 	// Finished processes keep their idle coroutines for reuse. Once the
-	// environment is garbage (dropped by envPool, or never pooled), stop
-	// them so their goroutines exit.
+	// environment is garbage (its owner dropped it), stop them so their
+	// goroutines exit.
 	runtime.AddCleanup(e, (*coroSet).stop, e.coros)
 	return e
 }
 
-// envPool recycles environments — and with them event slabs, process
-// structs, and their coroutines — across simulation runs. Campaign
-// workers each acquire their own Env, so pooled reuse is race-free by
-// construction and is exercised under -race by the campaign tests.
-var envPool = sync.Pool{New: func() any { return NewEnv() }}
-
-// AcquireEnv returns a reset environment from the pool. Release it with
-// ReleaseEnv after Run completes to recycle its buffers.
-func AcquireEnv() *Env {
-	return envPool.Get().(*Env)
-}
-
-// ReleaseEnv resets e and returns it to the pool. Environments that did
-// not finish cleanly (failed runs, undrained queues, processes still
-// blocked) are abandoned to the garbage collector instead: their parked
-// coroutines may still hold references to internal state.
-func ReleaseEnv(e *Env) {
-	if e == nil || !e.clean() {
-		return
+// Reset rewinds a cleanly finished environment to time zero for its
+// next run, keeping the event slab, the process structs and their
+// coroutines. An environment that did not finish cleanly (failed run,
+// undrained queue, processes still blocked) is left unchanged and
+// Reset returns false: its parked coroutines may still hold references
+// to its state, so the owner must drop it.
+func (e *Env) Reset() bool {
+	if !e.clean() {
+		return false
 	}
 	e.reset()
-	envPool.Put(e)
+	return true
 }
 
 // clean reports whether the environment finished a run with no failure,
@@ -362,7 +351,7 @@ type Proc struct {
 // direct coroutine switch (next), and a process hands it back by calling
 // the coroutine's yield, so a park/resume round trip involves neither
 // channels nor the Go scheduler. A finished process stays paired with its
-// idle coroutine, so Spawn on a pooled environment starts no goroutine.
+// idle coroutine, so Spawn on a reset environment starts no goroutine.
 //
 // The coroutine references its process only while running one (p is nil
 // when idle): an environment whose processes have all finished is
@@ -426,7 +415,7 @@ func (s *coroSet) stop() {
 // Spawn creates a process named name executing fn and schedules it to start
 // at the current virtual time. It returns immediately; fn runs once the
 // scheduler reaches the start event during Run. Finished process structs
-// from a previous run of a pooled environment are reused, coroutine
+// from a previous run of a reset environment are reused, coroutine
 // included.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	var p *Proc

@@ -91,6 +91,8 @@ type Engine struct {
 	mu      sync.Mutex
 	err     error
 	stat    Stats
+	// counters are the finished run's work counts, summed by finish.
+	counters sim.Counters
 
 	// switches is the partitions' summed process-switch count at the
 	// end of the last window; narrow records that the last window ran
@@ -100,7 +102,7 @@ type Engine struct {
 }
 
 // Stats counts one run's window behavior; read it with Engine.Stats
-// after Run and before Release. The counters make the window policy
+// after Run and before the next Reset. The counters make the window policy
 // observable without a profiler: a compute-heavy job shows Windows
 // orders of magnitude below the latency-floor count while Mail counts
 // the same simulation's cross-partition traffic.
@@ -128,15 +130,9 @@ type Stats struct {
 // Stats returns the counters of the engine's last (or in-progress) run.
 func (g *Engine) Stats() Stats { return g.stat }
 
-// Counters returns the work counts of the run summed over partitions;
-// read it after Run and before Release.
-func (g *Engine) Counters() sim.Counters {
-	var c sim.Counters
-	for _, p := range g.parts {
-		c = c.Add(p.env.Counters())
-	}
-	return c
-}
+// Counters returns the work counts of the last successful run summed
+// over partitions; read it after Run and before the next Reset.
+func (g *Engine) Counters() sim.Counters { return g.counters }
 
 // Totals aggregates window statistics across engine runs: a
 // campaign.Scheduler keeps one for the runs it executes (the /statsz
@@ -189,69 +185,51 @@ func (g *Engine) flushTotals() {
 	totals.Add(g.stat)
 }
 
-// enginePool recycles Engine coordination state (partition structs,
-// outbox and merge buffers, worker channels) across jobs; the partition
-// environments themselves come from the sim environment pool.
-var enginePool = sync.Pool{New: func() any { return &Engine{} }}
-
-// Acquire returns an engine for a job spanning nodes partitions,
-// executed by up to workers concurrent executors, with the given
-// conservative lookahead (netsim.Spec.LatencyFloor). Each partition
-// gets a reset environment from the sim pool. Windows widen past the
-// latency floor using the partitions' EarliestOutput bounds; partitions
-// with no oracle promise only their next event time, which keeps their
-// windows at the floor.
-func Acquire(nodes, workers int, lookahead float64) *Engine {
+// Reset prepares a zero or reused engine for a job spanning nodes
+// partitions, executed by up to workers concurrent executors, with the
+// given conservative lookahead (netsim.Spec.LatencyFloor). A partition
+// gets its environment when it is first created and keeps it across
+// runs; one left dirty by a failed run is replaced by a fresh one.
+// Windows widen past the latency floor using the partitions'
+// EarliestOutput bounds; partitions with no oracle promise only their
+// next event time, which keeps their windows at the floor.
+func (g *Engine) Reset(nodes, workers int, lookahead float64) {
 	if nodes <= 0 {
 		panic("psim: engine with no partitions")
 	}
 	if lookahead <= 0 {
 		panic("psim: non-positive lookahead")
 	}
-	g := enginePool.Get().(*Engine)
 	g.lookahead = lookahead
 	g.window = 0
 	g.stat = Stats{}
-	g.workers = workers
-	if g.workers > nodes {
-		g.workers = nodes
-	}
+	g.counters = sim.Counters{}
+	g.workers = min(workers, nodes)
 	for len(g.partStore) < nodes {
-		g.partStore = append(g.partStore, &partition{})
+		g.partStore = append(g.partStore, &partition{env: sim.NewEnv()})
 	}
 	g.parts = g.partStore[:nodes]
-	for _, p := range g.parts {
-		p.env = sim.AcquireEnv()
+	for i, p := range g.parts {
+		if !p.env.Reset() {
+			p = &partition{env: sim.NewEnv()}
+			g.parts[i] = p
+		}
 		for len(p.out) < nodes {
 			p.out = append(p.out, nil)
 		}
 	}
 	g.err = nil
-	return g
 }
 
-// Release returns clean partition environments to the sim pool and the
-// engine to its own pool. Environments of failed runs are abandoned to
-// the GC (blocked rank coroutines may still reference them), exactly as
-// the serial engine abandons its environment.
-func (g *Engine) Release() {
+// finish ends a successful run: it records the partitions' work counts
+// and rewinds their environments, so an idle engine pins nothing from
+// the finished job. The barrier merge has already emptied and cleared
+// every outbox.
+func (g *Engine) finish() {
 	for _, p := range g.parts {
-		sim.ReleaseEnv(p.env)
-		p.env = nil
-		p.mailed = false
-		for d := range p.out {
-			// Drop any undelivered mail references (failed runs) so the
-			// pooled buffers do not pin callback arguments.
-			clear(p.out[d][:cap(p.out[d])])
-			p.out[d] = p.out[d][:0]
-		}
+		g.counters = g.counters.Add(p.env.Counters())
+		p.env.Reset()
 	}
-	clear(g.inbox[:cap(g.inbox)])
-	g.inbox = g.inbox[:0]
-	clear(g.senders[:cap(g.senders)])
-	g.senders = g.senders[:0]
-	g.parts = nil
-	enginePool.Put(g)
 }
 
 // NodeEnv returns the partition environment simulating the given node.
@@ -337,6 +315,7 @@ func (g *Engine) Run() error {
 			return err
 		}
 	}
+	g.finish()
 	return nil
 }
 

@@ -11,6 +11,14 @@ import (
 
 const look = 1e-6 // lookahead used throughout; posts delay by >= this
 
+// newEngine returns an engine reset for nodes partitions and workers
+// executors at the test lookahead.
+func newEngine(nodes, workers int) *Engine {
+	g := &Engine{}
+	g.Reset(nodes, workers, look)
+	return g
+}
+
 // ping bounces a token between two partitions: each hop posts the next
 // hop one lookahead ahead on the peer, recording the hop times.
 type ping struct {
@@ -40,7 +48,7 @@ func (p *ping) hop(any) {
 // previous one, at every worker count.
 func TestCrossPartitionPingPong(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		g := Acquire(2, workers, look)
+		g := newEngine(2, workers)
 		p := &ping{g: g, a: 0, b: 1, hops: 5, from: 0}
 		g.NodeEnv(0).At(0, p.hop, nil)
 		if err := g.Run(); err != nil {
@@ -54,7 +62,6 @@ func TestCrossPartitionPingPong(t *testing.T) {
 				t.Errorf("workers=%d hop %d at %v, want %v", workers, i, tm, want)
 			}
 		}
-		g.Release()
 	}
 }
 
@@ -66,7 +73,7 @@ func TestCrossPartitionPingPong(t *testing.T) {
 func TestMergeOrderIsCanonical(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4} {
-		g := Acquire(4, workers, look)
+		g := newEngine(4, workers)
 		var got strings.Builder
 		rec := func(a any) { fmt.Fprintf(&got, "%s@%v ", a.(string), g.NodeEnv(0).Now()) }
 		// Sources 3, 2, 1 post at identical times; source order must win.
@@ -81,7 +88,6 @@ func TestMergeOrderIsCanonical(t *testing.T) {
 		if err := g.Run(); err != nil {
 			t.Fatal(err)
 		}
-		g.Release()
 		if want == "" {
 			want = got.String()
 			wantOrder := "s1-first@1e-06 s1-second@1e-06 s2-first@1e-06 s2-second@1e-06 s3-first@1e-06 s3-second@1e-06 "
@@ -95,39 +101,48 @@ func TestMergeOrderIsCanonical(t *testing.T) {
 }
 
 // TestDeadlockDetected parks a process that nothing ever wakes and
-// expects Run to fail once all queues drain.
+// expects Run to fail once all queues drain. Reset then replaces the
+// dirty partition, so the same engine runs the next job cleanly.
 func TestDeadlockDetected(t *testing.T) {
-	g := Acquire(2, 2, look)
+	g := newEngine(2, 2)
 	g.NodeEnv(1).Spawn("stuck", func(p *sim.Proc) { p.Park("never woken") })
 	if err := g.Run(); err == nil {
 		t.Fatal("deadlocked run reported success")
 	}
-	g.Release()
+	dirty := g.NodeEnv(1)
+	g.Reset(2, 2, look)
+	if g.NodeEnv(1) == dirty {
+		t.Fatal("Reset kept the deadlocked partition's environment")
+	}
+	p := &ping{g: g, a: 0, b: 1, hops: 3, from: 0}
+	g.NodeEnv(0).At(0, p.hop, nil)
+	if err := g.Run(); err != nil || len(p.times) != 3 {
+		t.Fatalf("run after a failed one: %v, %d hops, want 3", err, len(p.times))
+	}
 }
 
-// TestAcquireValidation pins the constructor contract: partitions and
+// TestResetValidation pins the set-up contract: partitions and
 // lookahead must be positive, and the worker count clamps to the
 // partition count (extra workers could never have work).
-func TestAcquireValidation(t *testing.T) {
+func TestResetValidation(t *testing.T) {
 	for _, bad := range []func(){
-		func() { Acquire(0, 1, look) },
-		func() { Acquire(2, 1, 0) },
-		func() { Acquire(2, 1, -1) },
+		func() { newEngine(0, 1) },
+		func() { (&Engine{}).Reset(2, 1, 0) },
+		func() { (&Engine{}).Reset(2, 1, -1) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("invalid Acquire did not panic")
+					t.Error("invalid Reset did not panic")
 				}
 			}()
 			bad()
 		}()
 	}
-	g := Acquire(2, 16, look)
+	g := newEngine(2, 16)
 	if g.workers != 2 {
 		t.Errorf("workers clamped to %d, want 2", g.workers)
 	}
-	g.Release()
 }
 
 // boundOracle promises a fixed earliest-output time.
@@ -142,8 +157,7 @@ func (o *boundOracle) EarliestOutputTime() float64 { return o.bound }
 // plus the window that delivers the closing mail.
 func TestAdaptiveWidensWindows(t *testing.T) {
 	const wakes = 20
-	g := Acquire(2, 2, look)
-	defer g.Release()
+	g := newEngine(2, 2)
 	for i := 0; i < 2; i++ {
 		i := i
 		// Each partition promises nothing can leave before the last
@@ -176,8 +190,7 @@ func TestAdaptiveWidensWindows(t *testing.T) {
 // never register an oracle keeps every window at the latency floor:
 // EarliestOutput degrades to the next event time, so no window widens.
 func TestAdaptiveFallsBackWithoutPromise(t *testing.T) {
-	g := Acquire(2, 2, look)
-	defer g.Release()
+	g := newEngine(2, 2)
 	p := &ping{g: g, a: 0, b: 1, hops: 5, from: 0}
 	g.NodeEnv(0).At(0, p.hop, nil)
 	if err := g.Run(); err != nil {
@@ -201,7 +214,7 @@ func TestAdaptiveFallsBackWithoutPromise(t *testing.T) {
 // partition, also when the partitions run on worker goroutines.
 func TestPostInsideWindowFails(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		g := Acquire(2, workers, look)
+		g := newEngine(2, workers)
 		for i := 0; i < 2; i++ {
 			g.NodeEnv(i).SetOutputOracle(&boundOracle{bound: 100 * look})
 		}
@@ -220,33 +233,43 @@ func TestPostInsideWindowFails(t *testing.T) {
 		if st := g.Stats(); st.Mail != 0 {
 			t.Errorf("workers=%d: %d mail merged after the broken contract", workers, st.Mail)
 		}
-		g.Release()
 	}
 }
 
-// TestEngineReuse runs the same workload on a pooled engine repeatedly,
-// alternating worker counts, and checks no state leaks between runs.
+// TestEngineReuse runs the same workload on one engine repeatedly,
+// alternating worker and partition counts, and checks no state leaks
+// between runs: every run delivers its own mail, reports its own work
+// counts, and leaves its partition environments rewound.
 func TestEngineReuse(t *testing.T) {
 	var total atomic.Int64
-	run := func(workers int) int64 {
-		g := Acquire(3, workers, look)
-		defer g.Release()
+	g := &Engine{}
+	run := func(nodes, workers int) int64 {
+		g.Reset(nodes, workers, look)
 		start := total.Load()
-		for i := 0; i < 3; i++ {
+		for i := 0; i < nodes; i++ {
 			i := i
 			g.NodeEnv(i).Spawn("w", func(p *sim.Proc) {
 				p.Wait(look / 2)
-				g.Post(i, (i+1)%3, p.Now()+look, func(any) { total.Add(1) }, nil)
+				g.Post(i, (i+1)%nodes, p.Now()+look, func(any) { total.Add(1) }, nil)
 			})
 		}
 		if err := g.Run(); err != nil {
 			t.Fatal(err)
 		}
+		// Per partition: one start, one wait, one mail delivery.
+		if c, want := g.Counters(), int64(3*nodes); c.Events != want {
+			t.Fatalf("nodes=%d workers=%d: %d events, want %d", nodes, workers, c.Events, want)
+		}
+		for i := 0; i < nodes; i++ {
+			if e := g.NodeEnv(i); e.Now() != 0 || e.Counters() != (sim.Counters{}) {
+				t.Fatalf("partition %d not rewound after the run: now=%v", i, e.Now())
+			}
+		}
 		return total.Load() - start
 	}
-	for i, workers := range []int{1, 3, 1, 2, 3} {
-		if n := run(workers); n != 3 {
-			t.Fatalf("iteration %d (workers=%d): %d deliveries, want 3", i, workers, n)
+	for i, tc := range []struct{ nodes, workers int }{{3, 1}, {3, 3}, {2, 1}, {4, 2}, {3, 3}} {
+		if n := run(tc.nodes, tc.workers); n != int64(tc.nodes) {
+			t.Fatalf("iteration %d (%+v): %d deliveries, want %d", i, tc, n, tc.nodes)
 		}
 	}
 }
@@ -260,8 +283,7 @@ func TestEngineReuse(t *testing.T) {
 // dispatches.
 func TestNarrowWindowsRunInline(t *testing.T) {
 	run := func(workers, waits int) Stats {
-		g := Acquire(2, workers, look)
-		defer g.Release()
+		g := newEngine(2, workers)
 		for i := 0; i < 2; i++ {
 			// Each wait is one process switch inside the first window.
 			g.NodeEnv(i).Spawn("busy", func(p *sim.Proc) {

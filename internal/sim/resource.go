@@ -43,8 +43,8 @@ type PSResource struct {
 	arrivals   uint64
 	// ev is the completion event of the head flow.
 	ev Event
-	// parkAwait is the Park reason of a process awaiting a flow,
-	// precomputed so the hot path does not build strings.
+	// parkAwait is the Park reason of a process awaiting a flow, built
+	// on the first Await so later ones do not build strings.
 	parkAwait string
 }
 
@@ -85,19 +85,19 @@ func (f *Flow) EarliestFinish() float64 {
 // positive; flowCap <= 0 means individual flows are limited only by the
 // total capacity.
 func NewPSResource(env *Env, name string, capacity, flowCap float64) *PSResource {
-	r := new(PSResource)
-	r.Reinit(env, name, capacity, flowCap)
+	r := &PSResource{Name: name}
+	r.Reinit(env, capacity, flowCap)
 	return r
 }
 
-// Reinit sets up a resource, new or pooled, for an environment and
-// parameters, keeping its allocated flow-heap capacity and — when the
-// name is unchanged — its precomputed park-reason string. Job-state pools
-// call it to recycle whole machine/network instances across simulation
-// runs; a zero PSResource is ready for it.
-func (r *PSResource) Reinit(env *Env, name string, capacity, flowCap float64) {
+// Reinit sets up a resource, new or reused, for an environment and
+// parameters, keeping its name and its allocated flow-heap capacity.
+// The MPI runtime calls it to recycle whole machine/network instances
+// across simulation runs; a PSResource with only its Name set is ready
+// for it.
+func (r *PSResource) Reinit(env *Env, capacity, flowCap float64) {
 	if capacity <= 0 || math.IsNaN(capacity) {
-		panic(fmt.Sprintf("sim: PSResource %q with non-positive capacity %v", name, capacity))
+		panic(fmt.Sprintf("sim: PSResource %q with non-positive capacity %v", r.Name, capacity))
 	}
 	r.env = env
 	r.Capacity, r.FlowCap = capacity, flowCap
@@ -105,10 +105,6 @@ func (r *PSResource) Reinit(env *Env, name string, capacity, flowCap float64) {
 	r.vclock, r.lastUpdate, r.rate = 0, 0, 0
 	r.arrivals = 0
 	r.ev = Event{}
-	if r.Name != name {
-		r.Name = name
-		r.parkAwait = "await flow on " + name
-	}
 }
 
 // StartFlow begins an asynchronous transfer of amount units and returns
@@ -154,8 +150,12 @@ func (f *Flow) Await(p *Proc) {
 		panic("sim: Flow.Await by a second process")
 	}
 	f.proc = p
+	r := f.res
+	if r.parkAwait == "" {
+		r.parkAwait = "await flow on " + r.Name
+	}
 	for !f.completed {
-		p.Park(f.res.parkAwait)
+		p.Park(r.parkAwait)
 	}
 }
 

@@ -122,7 +122,7 @@ func TestDeterminismGolden(t *testing.T) {
 
 // TestDeterminismRepeat runs the same job twice in one process and
 // demands identical fingerprints, catching any nondeterminism introduced
-// by state reuse (pooled environments, recycled event slots).
+// by state reuse (recycled Jobs, environments, and event slots).
 func TestDeterminismRepeat(t *testing.T) {
 	job := goldenJobs()[0]
 	a, err := spec.Run(job.rs)

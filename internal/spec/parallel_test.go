@@ -88,8 +88,8 @@ func TestParallelEngineParity(t *testing.T) {
 }
 
 // TestParallelEngineStress oscillates worker counts across back-to-back
-// runs of the same jobs under -race, exercising pooled-job and pooled-
-// engine reuse: a serial run must leave no state behind that corrupts a
+// runs of the same jobs under -race, exercising the reuse of recycled
+// Jobs and their engines: a serial run must leave no state behind that corrupts a
 // following partitioned run and vice versa, and concurrent partition
 // execution must be free of data races: every partitioned run must
 // dispatch at least one window to its workers. Fingerprints are checked

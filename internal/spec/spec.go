@@ -81,7 +81,7 @@ func Run(rs RunSpec) (RunResult, error) {
 	if rs.ClockHz > 0 {
 		// Memoized: a frequency sweep derives and validates each ladder
 		// point once per process, however many jobs run at it.
-		cluster, err = cluster.WithClockCached(rs.ClockHz)
+		cluster, err = cluster.WithClock(rs.ClockHz)
 		if err != nil {
 			return RunResult{}, fmt.Errorf("spec: %s/%s: %w", rs.Benchmark, rs.Class, err)
 		}
