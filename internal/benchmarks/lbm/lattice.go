@@ -19,6 +19,11 @@ type lattice struct {
 	// on-site halfway bounce-back across these sides instead of reading
 	// ghost cells.
 	wallW, wallE, wallS, wallN bool
+	// edges are the two reusable send buffers of a halo exchange: the
+	// west and east edges of ExchangeX, then the south and north edges
+	// of ExchangeY. Sends copy their payload, so an exchange may refill
+	// a buffer the previous one sent.
+	edges [2][]float64
 }
 
 // D2Q9 velocity set and weights.
@@ -87,15 +92,17 @@ func (l *lattice) minDensity() float64 {
 	return minRho
 }
 
-// pack serializes the 9 populations of a run of cells.
-func (l *lattice) pack(xs, ys, count, dx, dy int) []float64 {
-	out := make([]float64, 0, 9*count)
+// pack serializes the 9 populations of a run of cells into send buffer
+// edges[buf].
+func (l *lattice) pack(buf, xs, ys, count, dx, dy int) []float64 {
+	out := l.edges[buf][:0]
 	for k := 0; k < count; k++ {
 		id := l.idx(xs+k*dx, ys+k*dy)
 		for i := 0; i < 9; i++ {
 			out = append(out, l.f[i][id])
 		}
 	}
+	l.edges[buf] = out
 	return out
 }
 
@@ -113,10 +120,10 @@ func (l *lattice) unpack(data []float64, xs, ys, dx, dy int) {
 // exchange sends interior columns; the Y exchange sends full rows
 // including the just-filled ghost corners, so diagonal streams cross rank
 // corners correctly.
-func (l *lattice) edgeW() []float64 { return l.pack(0, 0, l.h, 0, 1) }
-func (l *lattice) edgeE() []float64 { return l.pack(l.w-1, 0, l.h, 0, 1) }
-func (l *lattice) edgeS() []float64 { return l.pack(-1, 0, l.w+2, 1, 0) }
-func (l *lattice) edgeN() []float64 { return l.pack(-1, l.h-1, l.w+2, 1, 0) }
+func (l *lattice) edgeW() []float64 { return l.pack(0, 0, 0, l.h, 0, 1) }
+func (l *lattice) edgeE() []float64 { return l.pack(1, l.w-1, 0, l.h, 0, 1) }
+func (l *lattice) edgeS() []float64 { return l.pack(0, -1, 0, l.w+2, 1, 0) }
+func (l *lattice) edgeN() []float64 { return l.pack(1, -1, l.h-1, l.w+2, 1, 0) }
 
 // applyHaloX fills the ghost columns from neighbor payloads; missing
 // neighbors get halfway bounce-back ghosts (reflected edge populations).

@@ -437,7 +437,7 @@ func (r *Rank) Bcast(root int, data []float64, modelBytes float64) []float64 {
 // paper-scale size of one rank's contribution.
 func (r *Rank) Allgather(data []float64, modelBytes float64) [][]float64 {
 	n := r.Size()
-	out := r.arena().allocSlices(n)
+	out := r.arena().slices.Slice(n)
 	out[r.id] = r.arena().cloneFloats(data)
 	if n == 1 {
 		return out
@@ -466,7 +466,7 @@ func (r *Rank) Alltoall(chunks [][]float64, modelBytes float64) [][]float64 {
 	if len(chunks) != n {
 		panic("mpi: Alltoall chunk count != ranks")
 	}
-	out := r.arena().allocSlices(n)
+	out := r.arena().slices.Slice(n)
 	out[r.id] = r.arena().cloneFloats(chunks[r.id])
 	if n == 1 {
 		return out

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"sync"
@@ -134,5 +135,110 @@ func TestIdleJobsBounded(t *testing.T) {
 	idleJobs.Unlock()
 	if idle != bound {
 		t.Errorf("%d Jobs idle after %d concurrent runs, want the bound %d", idle, n, bound)
+	}
+}
+
+// arenaBody is a halo exchange (Isend/Irecv both ways, Waitall) and an
+// Allreduce, repeated, with payloads large enough that the protocol and
+// payload arenas dominate what a run allocates.
+func arenaBody(r *Rank) {
+	n := r.Size()
+	right, left := (r.ID()+1)%n, (r.ID()+n-1)%n
+	for i := 0; i < 8; i++ {
+		reqs := [4]*Request{
+			r.Irecv(left, 5), r.Irecv(right, 6),
+			r.Isend(right, 5, arenaPayload, 48*1024),
+			r.Isend(left, 6, arenaPayload, 128*1024),
+		}
+		r.Waitall(reqs[:])
+		r.Allreduce(arenaPayload[:64], 512, OpSum)
+	}
+}
+
+var arenaPayload = make([]float64, 512)
+
+// bytesOf returns the heap bytes allocated while j runs cfg once.
+func bytesOf(t *testing.T, j *Job, cfg Config, body func(*Rank)) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := j.run(cfg, body); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRecycledJobReusesArenas pins that a Job rewinds its arenas
+// instead of dropping them: the second run of the same body on the same
+// Job allocates under 1% of the bytes of its first, serially and on the
+// partitioned engine.
+func TestRecycledJobReusesArenas(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates per goroutine; budgets only hold without -race")
+	}
+	cpn := machine.ClusterA().CPU.CoresPerNode()
+	for _, workers := range []int{1, 2} {
+		cfg := Config{Cluster: machine.ClusterA(), Net: netsim.HDR100(),
+			Ranks: 2 * cpn, SimWorkers: workers}
+		j := &Job{}
+		first := bytesOf(t, j, cfg, arenaBody)
+		second := bytesOf(t, j, cfg, arenaBody)
+		t.Logf("workers=%d: first run %d B, second run %d B", workers, first, second)
+		if second*100 >= first {
+			t.Errorf("workers=%d: second run allocated %d B, not under 1%% of the first run's %d B",
+				workers, second, first)
+		}
+	}
+}
+
+// TestRetainedBytesCapped runs a job whose payload high-water exceeds
+// maxRetainedBytes: its Job must not be idled, so no idle Job holds more
+// than the cap. Rank 0 takes the payload space straight from its arena
+// without writing it, so the run costs address space, not memory.
+func TestRetainedBytesCapped(t *testing.T) {
+	j := &Job{}
+	if _, err := j.run(Config{Cluster: machine.ClusterA(), Net: netsim.HDR100(), Ranks: 2}, func(r *Rank) {
+		if r.ID() == 0 {
+			r.arena().floats.Slice(maxRetainedBytes/8 + 1)
+		}
+		r.Barrier()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if b := j.retainedBytes(); b <= maxRetainedBytes {
+		t.Fatalf("job retained %d B, not above the %d B cap", b, maxRetainedBytes)
+	}
+	putJob(j)
+	idleJobs.Lock()
+	defer idleJobs.Unlock()
+	for _, idle := range idleJobs.list {
+		if idle == j {
+			t.Error("a Job above the cap was idled")
+		}
+		if b := idle.retainedBytes(); b > maxRetainedBytes {
+			t.Errorf("an idle Job holds %d B, above the %d B cap", b, maxRetainedBytes)
+		}
+	}
+}
+
+// TestPoisonReachesLeakedPayload checks the poisoning hook the golden
+// tests rely on: a payload leaked out of a run reads NaN once the run
+// has returned.
+func TestPoisonReachesLeakedPayload(t *testing.T) {
+	PoisonPayloads(true)
+	defer PoisonPayloads(false)
+	var leaked []float64
+	if _, err := Run(Config{Cluster: machine.ClusterA(), Ranks: 2}, func(r *Rank) {
+		if r.ID() == 0 {
+			r.Send(1, 1, []float64{1, 2}, 16)
+		} else {
+			leaked = r.Recv(0, 1).Data
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(leaked[0]) || !math.IsNaN(leaked[1]) {
+		t.Errorf("leaked payload reads %v after the run, want NaN", leaked)
 	}
 }

@@ -14,7 +14,9 @@
 // real []float64 slices (collectives really reduce them); ModelBytes
 // carries the paper-scale message size that drives the timing model, so
 // kernels can run scaled-down grids while communication costs stay at
-// paper scale.
+// paper scale. Received payloads, collective results and Waitall slices
+// live in the job's arenas and stay valid only until Run returns: a body
+// that needs one afterwards copies it.
 package mpi
 
 import (
@@ -81,9 +83,10 @@ type Result struct {
 // owner of everything a run recycles: the serial environment, the
 // parallel engine with its partition environments, the System/Network
 // instances, the Rank structs (with their matching-queue and
-// collective-scratch capacity), and the spawn closures all survive
-// across runs, so a steady-state campaign job performs no per-rank
-// setup allocation. Idle Jobs wait on the idleJobs free list.
+// collective-scratch capacity), the spawn closures and the arena chunks
+// all survive across runs, so a steady-state campaign job performs no
+// per-rank setup allocation and allocates no protocol object or
+// payload. Idle Jobs wait on the idleJobs free list.
 type Job struct {
 	env   *sim.Env     // serial engine, created by the first serial run
 	eng   *psim.Engine // parallel engine, created by the first partitioned run
@@ -231,111 +234,59 @@ func (j *Job) attachOracle(eng *psim.Engine, nodes int) {
 // oracle state).
 var testOracleCheck func(*Job)
 
-// partArena is one node's bump arenas (sim.BumpAlloc) for protocol
-// objects. Envelopes, requests, and messages all die with the job, so
-// handing them out from chunks trades one allocation per object for one
-// per chunk. The chunks are dropped (not reused) when the job is
-// released: any payload or message a rank body leaked to its caller
-// stays valid forever, pinned by the GC, instead of being clobbered by
-// the next run of the Job.
+// partArena is one node's arenas for protocol objects and payloads.
+// Envelopes, requests and messages all die with the run, so handing
+// them out from arenas trades one allocation per object for one per
+// chunk, and a recycled Job keeps the chunks: reset rewinds them after
+// a clean run, so a steady-state job allocates none. What a run hands
+// out (payloads, collective results, Waitall slices) stays valid only
+// until mpi.Run returns.
 type partArena struct {
-	ranks    int // ranks on this node, for chunk sizing
-	envChunk []envelope
-	reqChunk []Request
-	msgChunk []Message
-	// floatChunk backs every payload copy (Isend capture, collective
-	// accumulators) and sliceChunk the out-slice headers of
-	// Allgather/Alltoall; msgsChunk backs Waitall result slices.
-	floatChunk []float64
-	sliceChunk [][]float64
-	msgsChunk  []*Message
+	ranks int // ranks on this node, for the oracle's active count
+	envs  sim.Arena[envelope]
+	reqs  sim.Arena[Request]
+	msgs  sim.Arena[Message]
+	// floats backs every payload copy (Isend capture, collective
+	// accumulators) and slices the out-slice headers of
+	// Allgather/Alltoall; msgPtrs backs Waitall result slices.
+	floats  sim.Arena[float64]
+	slices  sim.Arena[[]float64]
+	msgPtrs sim.Arena[*Message]
 }
 
-// drop severs the arena's chunks so the next run starts fresh.
-func (pa *partArena) drop() {
-	pa.envChunk, pa.reqChunk, pa.msgChunk = nil, nil, nil
-	pa.floatChunk, pa.sliceChunk, pa.msgsChunk = nil, nil, nil
-}
-
-// arenaChunk scales a per-rank chunk quota to the node's rank count,
-// clamped so a 2-rank ping-pong job does not pay for 18-rank slabs and
-// a full-node job does not allocate multi-megabyte ones. Refills stay
-// amortized: steady state is a handful of chunk allocations per node at
-// any size.
-func (pa *partArena) arenaChunk(perRank, floor, limit int) int {
-	n := perRank * pa.ranks
-	if n < floor {
-		n = floor
+// reset rewinds the arenas after a clean run. The pointer-holding ones
+// are zeroed, so an idle Job keeps nothing alive outside itself (such
+// as a kernel buffer a finished request pointed at); the floats hold no
+// pointers and every handout is overwritten (cloneFloats). With poison
+// set, the kept float chunks are filled with NaN first, so a test can
+// show that nothing reads a payload after its run.
+func (pa *partArena) reset(poison bool) {
+	pa.envs.Reset()
+	pa.reqs.Reset()
+	pa.msgs.Reset()
+	pa.slices.Reset()
+	pa.msgPtrs.Reset()
+	if poison {
+		pa.floats.Fill(math.NaN())
 	}
-	if n > limit {
-		n = limit
-	}
-	return n
+	pa.floats.Rewind()
 }
 
-func (pa *partArena) newEnvelope() *envelope {
-	return sim.BumpAlloc(&pa.envChunk, pa.arenaChunk(64, 128, 8192))
-}
-func (pa *partArena) newRequest() *Request {
-	return sim.BumpAlloc(&pa.reqChunk, pa.arenaChunk(128, 256, 16384))
-}
-func (pa *partArena) newMessage() *Message {
-	return sim.BumpAlloc(&pa.msgChunk, pa.arenaChunk(64, 128, 8192))
+// bytes returns the size of the chunks the arenas keep between runs.
+func (pa *partArena) bytes() int {
+	return pa.envs.Bytes() + pa.reqs.Bytes() + pa.msgs.Bytes() +
+		pa.floats.Bytes() + pa.slices.Bytes() + pa.msgPtrs.Bytes()
 }
 
-// allocFloats hands out a zeroed []float64 of length n from the node's
-// payload arena. Zero-length requests return nil, matching the historic
-// `append([]float64(nil), data...)` behavior for empty payloads.
-func (pa *partArena) allocFloats(n int) []float64 {
-	if n == 0 {
+// cloneFloats copies data into the node's payload arena. Every value
+// is overwritten, so the float chunks need no zeroing. An empty payload
+// returns nil, as `append([]float64(nil), data...)` would.
+func (pa *partArena) cloneFloats(data []float64) []float64 {
+	if len(data) == 0 {
 		return nil
 	}
-	if n > len(pa.floatChunk) {
-		size := pa.arenaChunk(512, 1024, 65536)
-		if n > size {
-			size = n
-		}
-		pa.floatChunk = make([]float64, size)
-	}
-	s := pa.floatChunk[:n:n]
-	pa.floatChunk = pa.floatChunk[n:]
-	return s
-}
-
-// cloneFloats copies data into the payload arena.
-func (pa *partArena) cloneFloats(data []float64) []float64 {
-	s := pa.allocFloats(len(data))
+	s := pa.floats.Slice(len(data))
 	copy(s, data)
-	return s
-}
-
-// allocSlices hands out a [][]float64 of length n from the node arena
-// (backing for Allgather/Alltoall results).
-func (pa *partArena) allocSlices(n int) [][]float64 {
-	if n > len(pa.sliceChunk) {
-		size := pa.arenaChunk(4, 64, 4096)
-		if n > size {
-			size = n
-		}
-		pa.sliceChunk = make([][]float64, size)
-	}
-	s := pa.sliceChunk[:n:n]
-	pa.sliceChunk = pa.sliceChunk[n:]
-	return s
-}
-
-// allocMsgPtrs hands out a []*Message of length n from the node arena
-// (backing for Waitall results).
-func (pa *partArena) allocMsgPtrs(n int) []*Message {
-	if n > len(pa.msgsChunk) {
-		size := pa.arenaChunk(8, 64, 4096)
-		if n > size {
-			size = n
-		}
-		pa.msgsChunk = make([]*Message, size)
-	}
-	s := pa.msgsChunk[:n:n]
-	pa.msgsChunk = pa.msgsChunk[n:]
 	return s
 }
 
@@ -391,8 +342,12 @@ func getJob() *Job {
 	return j
 }
 
-// putJob idles a Job after a clean run, unless the list is full.
+// putJob idles a Job after a clean run, unless the list is full or the
+// Job keeps more than maxRetainedBytes of arena chunks.
 func putJob(j *Job) {
+	if j.retainedBytes() > maxRetainedBytes {
+		return
+	}
 	idleJobs.Lock()
 	defer idleJobs.Unlock()
 	if len(idleJobs.list) < runtime.GOMAXPROCS(0) {
@@ -561,8 +516,7 @@ func (j *Job) init(rt sim.Router, cfg Config, body func(r *Rank)) {
 	}
 	j.net.Reinit(rt, cfg.Net, nodes)
 
-	// Per-node arenas, sized for this run's shape; release dropped the
-	// last run's chunks.
+	// Per-node arenas; release rewound the last run's chunks for reuse.
 	for len(j.parts) < nodes {
 		j.parts = append(j.parts, partArena{})
 	}
@@ -613,23 +567,58 @@ func (j *Job) init(rt sim.Router, cfg Config, body func(r *Rank)) {
 	}
 }
 
-// release drops the job-scoped arenas (so leaked payloads stay valid,
-// pinned by the GC) and severs references an idle Job must not retain.
+// release rewinds the run's arenas for the next run and severs
+// references an idle Job must not retain. Stale entries left in the
+// matching queues' backing arrays point only into the Job's own arenas.
 func (j *Job) release() {
 	j.rt, j.rec = nil, nil
+	poison := poisonPayloads.Load()
 	for i := range j.parts {
-		j.parts[i].drop()
+		j.parts[i].reset(poison)
 	}
+	j.net.Release()
 	for _, r := range j.rankStore {
 		r.body, r.proc = nil, nil
-		// The matching queues are empty after a clean run, but their
-		// backing arrays still hold stale pointers into the dropped
-		// chunks; clear up to capacity so the idle Job does not pin them.
-		clear(r.posted[:cap(r.posted)])
-		clear(r.unexpected[:cap(r.unexpected)])
 		r.posted, r.unexpected = r.posted[:0], r.unexpected[:0]
 	}
 }
+
+// maxRetainedBytes caps the arena chunks an idle Job keeps. A Job whose
+// run left more is dropped instead of idled, so the free list holds at
+// most GOMAXPROCS times this much arena memory. It sits above the
+// largest working set of the paper's multi-node jobs (Figs. 5-6 on 4 to
+// 16 nodes): one Job that ran all of them keeps 352 MB, most of it for
+// minisweep on 16 ClusterB nodes, so those jobs all reuse their chunks.
+const maxRetainedBytes = 512 << 20
+
+// retainedBytes returns the size of every arena chunk the Job keeps:
+// the protocol and payload arenas, the environments' flow arenas and
+// the network's transfer arenas.
+func (j *Job) retainedBytes() int {
+	n := 0
+	for i := range j.parts {
+		n += j.parts[i].bytes()
+	}
+	if j.env != nil {
+		n += j.env.ArenaBytes()
+	}
+	if j.eng != nil {
+		n += j.eng.ArenaBytes()
+	}
+	if j.net != nil {
+		n += j.net.ArenaBytes()
+	}
+	return n
+}
+
+// poisonPayloads, when set, makes release fill the kept payload chunks
+// with NaN, so any read of a payload after its run returns NaN.
+var poisonPayloads atomic.Bool
+
+// PoisonPayloads turns payload poisoning on or off for every later
+// release. Tests use it to show that nothing outside a run aliases the
+// run's payload memory: with poisoning on, such an alias reads NaN.
+func PoisonPayloads(on bool) { poisonPayloads.Store(on) }
 
 // ID returns the rank number.
 func (r *Rank) ID() int { return r.id }

@@ -192,7 +192,7 @@ func (r *Rank) Isend(dst, tag int, data []float64, modelBytes float64) *Request 
 	r.mpiInterval(kind, t0, dst)
 
 	pa := r.arena()
-	env := pa.newEnvelope()
+	env := pa.envs.New()
 	env.job = j
 	env.src = r.id
 	env.dst = dst
@@ -205,7 +205,7 @@ func (r *Rank) Isend(dst, tag int, data []float64, modelBytes float64) *Request 
 	// cross-partition post, so the window-barrier handoff orders the
 	// writes before any destination-side access.
 	env.data = pa.cloneFloats(data)
-	req := pa.newRequest()
+	req := pa.reqs.New()
 	req.rank, req.send, req.peer, req.tag, req.env = r, true, dst, tag, env
 	env.sendReq = req
 	env.eager = j.net.Eager(modelBytes)
@@ -237,7 +237,7 @@ func (r *Rank) Irecv(src, tag int) *Request {
 	r.proc.Wait(j.net.Spec().RecvOverhead)
 	r.mpiInterval(kind, t0, src)
 
-	req := r.arena().newRequest()
+	req := r.arena().reqs.New()
 	req.rank, req.peer, req.tag = r, src, tag
 	if env := r.matchUnexpected(req); env != nil {
 		j.matchEnvelope(env, req)
@@ -253,9 +253,9 @@ func (r *Rank) Wait(q *Request) *Message { return r.waitAs(q, trace.KindWait) }
 
 // Waitall blocks until every request completes, returning receive messages
 // in request order (nil entries for sends). The result slice is backed by
-// the job arena and stays valid for the life of the job.
+// the job arena and stays valid until Run returns.
 func (r *Rank) Waitall(reqs []*Request) []*Message {
-	msgs := r.arena().allocMsgPtrs(len(reqs))
+	msgs := r.arena().msgPtrs.Slice(len(reqs))
 	for i, q := range reqs {
 		msgs[i] = r.waitAs(q, trace.KindWait)
 	}
@@ -441,7 +441,7 @@ func (j *Job) finishRecv(env *envelope) bool {
 	if !env.eager {
 		j.notePending(env.dst, -1)
 	}
-	m := j.arenaOf(env.dst).newMessage()
+	m := j.arenaOf(env.dst).msgs.New()
 	m.Src, m.Tag, m.ModelBytes, m.Data = env.src, env.tag, env.modelBytes, env.data
 	req.msg = m
 	return true

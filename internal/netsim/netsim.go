@@ -99,11 +99,11 @@ type Network struct {
 	nicIn  []*sim.PSResource // ejection per node
 	shmem  []*sim.PSResource // intra-node copy bandwidth per node
 
-	// pairChunk bump-allocates, per source node, the join records used
-	// by inter-node StartTransfer. Sharded by node so concurrent
-	// partitions never contend; the chunks die with the job (they are
-	// dropped on Reinit), so completions never alias across runs.
-	pairChunk [][]pairXfer
+	// pairs hands out, per source node, the join records used by
+	// inter-node StartTransfer. Sharded by node so concurrent partitions
+	// never contend. Release zeroes and rewinds them after a run, so the
+	// next run reuses their chunks.
+	pairs []sim.Arena[pairXfer]
 }
 
 // Reinit points a Network, new (the zero value) or reused, at a router,
@@ -122,15 +122,33 @@ func (n *Network) Reinit(rt sim.Router, spec Spec, nodes int) {
 		n.nicOut = append(n.nicOut, &sim.PSResource{Name: fmt.Sprintf("nic-out%d", i)})
 		n.nicIn = append(n.nicIn, &sim.PSResource{Name: fmt.Sprintf("nic-in%d", i)})
 		n.shmem = append(n.shmem, &sim.PSResource{Name: fmt.Sprintf("shmem%d", i)})
-		n.pairChunk = append(n.pairChunk, nil)
+		n.pairs = append(n.pairs, sim.Arena[pairXfer]{})
 	}
 	for i := 0; i < nodes; i++ {
 		env := rt.NodeEnv(i)
 		n.nicOut[i].Reinit(env, spec.LinkBandwidth, 0)
 		n.nicIn[i].Reinit(env, spec.LinkBandwidth, 0)
 		n.shmem[i].Reinit(env, spec.ShmemBandwidthPerNode, spec.ShmemPerFlowMax)
-		n.pairChunk[i] = nil
 	}
+}
+
+// Release rewinds the transfer arenas after a clean run, zeroing the
+// join records so an idle Network holds none of the run's callbacks.
+// Every transfer of the run must have completed.
+func (n *Network) Release() {
+	for i := range n.pairs {
+		n.pairs[i].Reset()
+	}
+}
+
+// ArenaBytes returns the size of the chunks the transfer arenas keep
+// between runs.
+func (n *Network) ArenaBytes() int {
+	b := 0
+	for i := range n.pairs {
+		b += n.pairs[i].Bytes()
+	}
+	return b
 }
 
 // Spec returns the interconnect parameters.
@@ -201,7 +219,7 @@ func xferLegDone(a any) {
 // StartTransfer begins an asynchronous transfer and fires fn(arg), if fn
 // is non-nil, on the DESTINATION node's partition when the bytes have
 // fully arrived. fn should be a top-level function; the inter-node join
-// record comes from a per-job bump arena, so steady-state transfers
+// record comes from the source node's arena, so steady-state transfers
 // allocate nothing.
 //
 // Inter-node transfers are cut-through: injection starts now on the
@@ -229,7 +247,7 @@ func (n *Network) StartTransfer(src, dst int, bytes float64, fn func(any), arg a
 		}
 		return
 	}
-	x := sim.BumpAlloc(&n.pairChunk[src], 256)
+	x := n.pairs[src].New()
 	x.net, x.src, x.dst, x.bytes = n, int32(src), int32(dst), bytes
 	x.need, x.fn, x.arg = 2, fn, arg
 	n.nicOut[src].StartFlow(bytes, xferInjected, x)

@@ -78,9 +78,10 @@ type Env struct {
 	// unreachable.
 	coros *coroSet
 
-	// flowChunk bump-allocates Flow structs for this run's resources;
-	// the chunks are dropped at reset, so flows never alias across runs.
-	flowChunk []Flow
+	// flows hands out the Flow structs of this run's resources. Reset
+	// zeroes and rewinds it, so the next run reuses its chunks and an
+	// idle environment holds no finished flow's callback.
+	flows Arena[Flow]
 
 	// oracle, when set, tightens EarliestOutput: a model-level promise
 	// about when this environment can next affect another one. Nil for
@@ -185,7 +186,7 @@ func (e *Env) reset() {
 	}
 	e.procs = e.procs[:0]
 	e.nowq, e.nowHead = e.nowq[:0], 0
-	e.flowChunk = nil
+	e.flows.Reset()
 	e.oracle = nil
 	e.counters = Counters{}
 }
@@ -195,23 +196,9 @@ func (e *Env) reset() {
 // the reference.
 func (e *Env) SetOutputOracle(o OutputOracle) { e.oracle = o }
 
-// BumpAlloc hands out one zeroed *T from the chunk, growing by whole
-// chunks of n, so allocation cost is paid once per n objects. Handed-out
-// objects stay live until the chunk is dropped; use it for run-scoped
-// objects (flows, MPI protocol state) that die with their run.
-func BumpAlloc[T any](chunk *[]T, n int) *T {
-	if len(*chunk) == 0 {
-		*chunk = make([]T, n)
-	}
-	p := &(*chunk)[0]
-	*chunk = (*chunk)[1:]
-	return p
-}
-
-// allocFlow hands out one zeroed Flow from the environment's bump arena.
-func (e *Env) allocFlow() *Flow {
-	return BumpAlloc(&e.flowChunk, 256)
-}
+// ArenaBytes returns the size of the chunks the environment's flow
+// arena keeps between runs.
+func (e *Env) ArenaBytes() int { return e.flows.Bytes() }
 
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }

@@ -232,6 +232,16 @@ func (g *Engine) finish() {
 	}
 }
 
+// ArenaBytes returns the size of the chunks the flow arenas of every
+// partition environment the engine keeps hold between runs.
+func (g *Engine) ArenaBytes() int {
+	n := 0
+	for _, p := range g.partStore {
+		n += p.env.ArenaBytes()
+	}
+	return n
+}
+
 // NodeEnv returns the partition environment simulating the given node.
 func (g *Engine) NodeEnv(node int) *sim.Env { return g.parts[node].env }
 

@@ -110,11 +110,11 @@ func (r *PSResource) Reinit(env *Env, capacity, flowCap float64) {
 // StartFlow begins an asynchronous transfer of amount units and returns
 // the flow handle. If fn is non-nil, fn(arg) fires on the scheduler when
 // the flow completes; a top-level fn allocates nothing beyond the flow
-// itself, which comes from the environment's bump arena. A non-positive
+// itself, which comes from the environment's flow arena. A non-positive
 // amount completes at once. Use Flow.Await from a process to block on
 // completion.
 func (r *PSResource) StartFlow(amount float64, fn func(any), arg any) *Flow {
-	f := r.env.allocFlow()
+	f := r.env.flows.New()
 	if amount <= 0 {
 		f.res, f.completed = r, true
 		if fn != nil {
