@@ -36,13 +36,18 @@ var (
 	opposite = [9]int{0, 2, 1, 4, 3, 6, 5, 8, 7}
 )
 
-func newLattice(w, h int) *lattice {
-	l := &lattice{w: w, h: h, tau: 0.8}
+func newLattice(w, h int) lattice {
+	l := lattice{w: w, h: h, tau: 0.8}
 	n := (w + 2) * (h + 2)
 	for i := 0; i < 9; i++ {
 		l.f[i] = make([]float64, n)
 		l.fnew[i] = make([]float64, n)
 	}
+	// An edge is at most w+2 cells (Y, ghost corners included) or h
+	// cells (X) of 9 populations.
+	e := 9 * max(w+2, h)
+	edges := make([]float64, 2*e)
+	l.edges = [2][]float64{edges[:0:e], edges[e : e : 2*e]}
 	// Smooth density perturbation at rest: equilibrium populations.
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {

@@ -92,13 +92,13 @@ func TestPerturbationDecays(t *testing.T) {
 		return hi - lo
 	}
 	l := newLattice(24, 24)
-	c0 := contrast(l)
+	c0 := contrast(&l)
 	for i := 0; i < 40; i++ {
 		l.applyHaloX(bench.Halo{})
 		l.applyHaloY(bench.Halo{})
 		l.step()
 	}
-	if c1 := contrast(l); c1 >= c0 {
+	if c1 := contrast(&l); c1 >= c0 {
 		t.Fatalf("perturbation grew: %v -> %v", c0, c1)
 	}
 }
