@@ -12,8 +12,8 @@ import "unsafe"
 // not safe for concurrent use.
 type Arena[T any] struct {
 	chunks [][]T // every chunk, in fill order
-	cur    int   // the chunk being filled
-	off    int   // next free element of chunks[cur]
+	next   int   // chunks[:next] are in use this run
+	free   []T   // unused tail of chunks[next-1]
 }
 
 // Chunk lengths grow geometrically between these sizes, so a small
@@ -25,30 +25,36 @@ const (
 
 // New hands out one value, zeroed unless the arena was last rewound
 // with Rewind.
-func (a *Arena[T]) New() *T { return &a.Slice(1)[0] }
+func (a *Arena[T]) New() *T {
+	if len(a.free) == 0 {
+		a.advance(1)
+	}
+	p := &a.free[0]
+	a.free = a.free[1:]
+	return p
+}
 
 // Slice hands out n contiguous values with capacity n, zeroed unless
 // the arena was last rewound with Rewind. A request longer than a
 // chunk gets a chunk of its own.
 func (a *Arena[T]) Slice(n int) []T {
-	for len(a.chunks) == 0 || a.off+n > len(a.chunks[a.cur]) {
+	if len(a.free) < n {
 		a.advance(n)
 	}
-	s := a.chunks[a.cur][a.off : a.off+n : a.off+n]
-	a.off += n
+	s := a.free[:n:n]
+	a.free = a.free[n:]
 	return s
 }
 
-// advance moves the cursor to the next kept chunk that holds n values,
-// appending a new chunk when none does. Chunks too short for n are
-// skipped for this run and kept for the next.
+// advance moves to the next kept chunk that holds n values, appending
+// a new chunk when none does. Chunks too short for n are skipped for
+// this run and kept for the next.
 func (a *Arena[T]) advance(n int) {
-	if len(a.chunks) > 0 {
-		a.cur++
-	}
-	a.off = 0
-	for ; a.cur < len(a.chunks); a.cur++ {
-		if n <= len(a.chunks[a.cur]) {
+	for a.next < len(a.chunks) {
+		c := a.chunks[a.next]
+		a.next++
+		if n <= len(c) {
+			a.free = c
 			return
 		}
 	}
@@ -57,17 +63,19 @@ func (a *Arena[T]) advance(n int) {
 	if k := len(a.chunks); k > 0 {
 		size = min(2*len(a.chunks[k-1]), arenaMaxChunkBytes/elem)
 	}
-	a.chunks = append(a.chunks, make([]T, max(size, n, 1)))
+	a.free = make([]T, max(size, n, 1))
+	a.chunks = append(a.chunks, a.free)
+	a.next++
 }
 
 // Reset zeroes every value handed out since the last rewind, so the
 // arena holds no pointer from the finished run, and rewinds the cursor.
 func (a *Arena[T]) Reset() {
-	for i := 0; i < a.cur; i++ {
-		clear(a.chunks[i])
-	}
-	if a.cur < len(a.chunks) {
-		clear(a.chunks[a.cur][:a.off])
+	for i, c := range a.chunks[:a.next] {
+		if i == a.next-1 {
+			c = c[:len(c)-len(a.free)]
+		}
+		clear(c)
 	}
 	a.Rewind()
 }
@@ -75,7 +83,7 @@ func (a *Arena[T]) Reset() {
 // Rewind rewinds the cursor without zeroing: later handouts hold the
 // finished run's values. Use it only for pointer-free T whose users
 // overwrite or zero every handout.
-func (a *Arena[T]) Rewind() { a.cur, a.off = 0, 0 }
+func (a *Arena[T]) Rewind() { a.next, a.free = 0, nil }
 
 // Fill sets every value of every kept chunk to v.
 func (a *Arena[T]) Fill(v T) {
