@@ -8,9 +8,9 @@ import (
 )
 
 // TestMain runs every test of the package with payload poisoning on: a
-// recycled MPI Job fills its kept payload chunks with NaN after each
-// run, so goldens that still match show that nothing leaving a run
-// (usage, trace sums, report) aliases the run's payload memory.
+// recycled MPI Job fills the payloads of each finished run with NaN, so
+// goldens that still match show that nothing leaving a run (usage,
+// trace sums, report) aliases the run's payload memory.
 func TestMain(m *testing.M) {
 	mpi.PoisonPayloads(true)
 	os.Exit(m.Run())

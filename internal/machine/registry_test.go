@@ -2,6 +2,7 @@ package machine
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -63,16 +64,22 @@ func TestRegisterRejectsBadEntries(t *testing.T) {
 	})
 }
 
+// derivedOnce registers DerivedTest once per process: the registry
+// refuses duplicates, and -count runs the test more than once.
+var derivedOnce sync.Once
+
 // TestFactoryMayDeriveFromRegistry pins the documented custom-cluster
 // pattern: a factory that starts from another registered preset must
 // resolve it without deadlocking on the registry lock.
 func TestFactoryMayDeriveFromRegistry(t *testing.T) {
-	Register("DerivedTest", func() *ClusterSpec {
-		cs := MustGet("ClusterA")
-		cs.Name = "DerivedTest"
-		cs.CPU.MemTheoreticalPerDomain *= 2
-		cs.CPU.MemSaturatedPerDomain *= 2
-		return cs
+	derivedOnce.Do(func() {
+		Register("DerivedTest", func() *ClusterSpec {
+			cs := MustGet("ClusterA")
+			cs.Name = "DerivedTest"
+			cs.CPU.MemTheoreticalPerDomain *= 2
+			cs.CPU.MemSaturatedPerDomain *= 2
+			return cs
+		})
 	})
 	done := make(chan *ClusterSpec)
 	go func() { done <- MustGet("DerivedTest") }()

@@ -258,8 +258,8 @@ type partArena struct {
 // are zeroed, so an idle Job keeps nothing alive outside itself (such
 // as a kernel buffer a finished request pointed at); the floats hold no
 // pointers and every handout is overwritten (cloneFloats). With poison
-// set, the kept float chunks are filled with NaN first, so a test can
-// show that nothing reads a payload after its run.
+// set, the run's payloads are filled with NaN first, so a test can show
+// that nothing reads a payload after its run.
 func (pa *partArena) reset(poison bool) {
 	pa.envs.Reset()
 	pa.reqs.Reset()
@@ -611,8 +611,10 @@ func (j *Job) retainedBytes() int {
 	return n
 }
 
-// poisonPayloads, when set, makes release fill the kept payload chunks
-// with NaN, so any read of a payload after its run returns NaN.
+// poisonPayloads, when set, makes release fill the run's payloads with
+// NaN, so any read of a payload after its run returns NaN. Every
+// release poisons what its run handed out, so all kept payload memory
+// reads NaN between runs.
 var poisonPayloads atomic.Bool
 
 // PoisonPayloads turns payload poisoning on or off for every later

@@ -71,11 +71,8 @@ func (a *Arena[T]) advance(n int) {
 // Reset zeroes every value handed out since the last rewind, so the
 // arena holds no pointer from the finished run, and rewinds the cursor.
 func (a *Arena[T]) Reset() {
-	for i, c := range a.chunks[:a.next] {
-		if i == a.next-1 {
-			c = c[:len(c)-len(a.free)]
-		}
-		clear(c)
+	for i := range a.next {
+		clear(a.handedOut(i))
 	}
 	a.Rewind()
 }
@@ -85,13 +82,24 @@ func (a *Arena[T]) Reset() {
 // overwrite or zero every handout.
 func (a *Arena[T]) Rewind() { a.next, a.free = 0, nil }
 
-// Fill sets every value of every kept chunk to v.
+// Fill sets every value handed out since the last rewind to v.
 func (a *Arena[T]) Fill(v T) {
-	for _, c := range a.chunks {
-		for i := range c {
-			c[i] = v
+	for i := range a.next {
+		c := a.handedOut(i)
+		for k := range c {
+			c[k] = v
 		}
 	}
+}
+
+// handedOut returns the values of chunk i handed out since the last
+// rewind: all of an earlier chunk, the used head of the current one.
+func (a *Arena[T]) handedOut(i int) []T {
+	c := a.chunks[i]
+	if i == a.next-1 {
+		return c[:len(c)-len(a.free)]
+	}
+	return c
 }
 
 // Bytes returns the size of the kept chunks.

@@ -3,6 +3,7 @@ package spec
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/spechpc/spechpc-sim/internal/benchmarks/bench"
@@ -250,19 +251,25 @@ func TestRunsAreDeterministic(t *testing.T) {
 	}
 }
 
+var invalidOnce sync.Once
+
 func TestVerificationFailureIsRefused(t *testing.T) {
 	// A benchmark whose checks fail must be rejected like SPEC's
-	// invalid-run handling. Exercised via a synthetic registry entry.
-	bench.Register(&bench.Benchmark{
-		ID:   99,
-		Name: "always-invalid",
-		Run: func(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
-			rep := bench.RunReport{StepsModeled: 1, StepsSimulated: 1}
-			if r.ID() == 0 {
-				rep.Checks = []bench.Check{{Name: "synthetic", OK: false}}
-			}
-			return rep, nil
-		},
+	// invalid-run handling. Exercised via a synthetic registry entry,
+	// registered once per process: the registry refuses duplicates, and
+	// -count runs the test more than once.
+	invalidOnce.Do(func() {
+		bench.Register(&bench.Benchmark{
+			ID:   99,
+			Name: "always-invalid",
+			Run: func(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
+				rep := bench.RunReport{StepsModeled: 1, StepsSimulated: 1}
+				if r.ID() == 0 {
+					rep.Checks = []bench.Check{{Name: "synthetic", OK: false}}
+				}
+				return rep, nil
+			},
+		})
 	})
 	_, err := Run(RunSpec{
 		Benchmark: "always-invalid", Class: bench.Tiny,
