@@ -9,6 +9,7 @@ import (
 
 	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/netsim"
+	"github.com/spechpc/spechpc-sim/internal/sim"
 	"github.com/spechpc/spechpc-sim/internal/units"
 )
 
@@ -193,41 +194,128 @@ func TestRecycledJobReusesArenas(t *testing.T) {
 }
 
 // TestRetainedBytesCapped runs a job whose payload high-water exceeds
-// maxRetainedBytes: its Job must not be idled, so no idle Job holds more
-// than the cap. Rank 0 takes the payload space straight from its arena
-// without writing it, so the run costs address space, not memory.
+// its Job's arena budget: the Job keeps at most the budget, and its
+// part arenas' chunks are all charged to it.
 func TestRetainedBytesCapped(t *testing.T) {
-	j := &Job{}
+	const budget = 1 << 20
+	j := &Job{budget: sim.NewArenaBudget(budget)}
 	if _, err := j.run(Config{Cluster: machine.ClusterA(), Net: netsim.HDR100(), Ranks: 2}, func(r *Rank) {
-		if r.ID() == 0 {
-			r.arena().floats.Slice(maxRetainedBytes/8 + 1)
+		for i := 0; i < 4; i++ {
+			r.arena().floats.Slice(budget / 8 / 2)
 		}
 		r.Barrier()
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if b := j.retainedBytes(); b <= maxRetainedBytes {
-		t.Fatalf("job retained %d B, not above the %d B cap", b, maxRetainedBytes)
+	kept := 0
+	for i := range j.parts {
+		pa := &j.parts[i]
+		kept += pa.envs.Bytes() + pa.reqs.Bytes() + pa.msgs.Bytes() +
+			pa.floats.Bytes() + pa.slices.Bytes() + pa.msgPtrs.Bytes()
 	}
-	putJob(j)
-	idleJobs.Lock()
-	defer idleJobs.Unlock()
-	for _, idle := range idleJobs.list {
-		if idle == j {
-			t.Error("a Job above the cap was idled")
+	if b := j.retainedBytes(); b > budget || b < kept {
+		t.Errorf("job retains %d B (%d B in its part arenas), want at most the %d B budget and at least its arenas",
+			b, kept, budget)
+	}
+}
+
+// TestRunMemoryBounded runs halo exchanges whose traffic is far above
+// the Job's arena budget, once and then four times as long, sampling
+// the live heap during each run. Past the budget, payloads and protocol
+// objects go to the GC once the run drops them, so the live heap stays
+// bounded instead of growing with the run's length.
+func TestRunMemoryBounded(t *testing.T) {
+	const budget = 1 << 20
+	cpn := machine.ClusterA().CPU.CoresPerNode()
+	for _, c := range []struct {
+		ranks, workers, floats, steps int
+	}{
+		{ranks: 4, workers: 1, floats: 16 << 10, steps: 32},
+		{ranks: cpn + 2, workers: 2, floats: 256, steps: 128},
+	} {
+		var growth [2]uint64
+		var traffic uint64
+		for k, steps := range []int{c.steps, 4 * c.steps} {
+			payload := make([]float64, c.floats)
+			var peak uint64
+			body := func(r *Rank) {
+				n := r.Size()
+				right, left := (r.ID()+1)%n, (r.ID()+n-1)%n
+				for i := 0; i < steps; i++ {
+					reqs := [4]*Request{
+						r.Irecv(left, 5), r.Irecv(right, 6),
+						r.Isend(right, 5, payload, 48*1024),
+						r.Isend(left, 6, payload, 48*1024),
+					}
+					r.Waitall(reqs[:])
+					if r.ID() == 0 && i%16 == 15 {
+						peak = max(peak, liveHeap())
+					}
+				}
+			}
+			j := &Job{budget: sim.NewArenaBudget(budget)}
+			base := liveHeap()
+			if _, err := j.run(Config{Cluster: machine.ClusterA(), Net: netsim.HDR100(),
+				Ranks: c.ranks, SimWorkers: c.workers}, body); err != nil {
+				t.Fatal(err)
+			}
+			if b := j.retainedBytes(); b > budget {
+				t.Errorf("job keeps %d B, above its %d B budget", b, budget)
+			}
+			growth[k] = peak - min(peak, base)
+			traffic = uint64(steps * c.ranks * 2 * c.floats * 8)
 		}
-		if b := idle.retainedBytes(); b > maxRetainedBytes {
-			t.Errorf("an idle Job holds %d B, above the %d B cap", b, maxRetainedBytes)
+		t.Logf("%d ranks, workers=%d: live heap grew %.1f MB in %d steps, %.1f MB in %d steps (%d MB of payload traffic)",
+			c.ranks, c.workers, float64(growth[0])/(1<<20), c.steps,
+			float64(growth[1])/(1<<20), 4*c.steps, traffic>>20)
+		if growth[1] > growth[0]+traffic/8 {
+			t.Errorf("%d ranks, workers=%d: live heap grew %d B in the long run, %d B in the short one: it grows with the run's %d B of traffic",
+				c.ranks, c.workers, growth[1], growth[0], traffic)
 		}
 	}
 }
 
-// TestPoisonReachesLeakedPayload checks the poisoning hook the golden
-// tests rely on: a payload leaked out of a run reads NaN once the run
+// liveHeap returns the heap bytes live after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestIdleJobsByteBound checks the free list's byte bound: a Job whose
+// arenas would take the idle Jobs' chunks past it is dropped, whatever
+// the list's length bound allows.
+func TestIdleJobsByteBound(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg := Config{Cluster: machine.ClusterA(), Net: netsim.HDR100(), Ranks: 8}
+	var jobs [3]*Job
+	for i := range jobs {
+		jobs[i] = &Job{}
+		if _, err := jobs[i].run(cfg, arenaBody); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := jobs[0].retainedBytes()
+	if b == 0 {
+		t.Fatal("a job kept no arena chunks")
+	}
+	l := jobList{maxBytes: 2*b + b/2}
+	for _, j := range jobs {
+		l.put(j)
+	}
+	if len(l.list) != 2 || l.bytes != 2*b {
+		t.Fatalf("%d Jobs idle keeping %d B, want 2 keeping %d B", len(l.list), l.bytes, 2*b)
+	}
+	if j := l.get(); j != jobs[1] || l.bytes != b {
+		t.Errorf("get returned a Job other than the last idled, or left %d B counted, want %d", l.bytes, b)
+	}
+}
+
+// TestPoisonReachesLeakedPayload checks the payload poisoning the
+// goldens rely on: a payload leaked out of a run reads NaN once the run
 // has returned.
 func TestPoisonReachesLeakedPayload(t *testing.T) {
-	PoisonPayloads(true)
-	defer PoisonPayloads(false)
 	var leaked []float64
 	if _, err := Run(Config{Cluster: machine.ClusterA(), Ranks: 2}, func(r *Rank) {
 		if r.ID() == 0 {

@@ -88,13 +88,17 @@ type Result struct {
 // per-rank setup allocation and allocates no protocol object or
 // payload. Idle Jobs wait on the idleJobs free list.
 type Job struct {
-	env   *sim.Env     // serial engine, created by the first serial run
-	eng   *psim.Engine // parallel engine, created by the first partitioned run
-	rt    sim.Router
-	sys   *machine.System
-	net   *netsim.Network
-	rec   *trace.Recorder
-	ranks []*Rank // live ranks for this run: rankStore[:n]
+	// budget caps the arena chunks the Job keeps, at maxRetainedBytes:
+	// its protocol and payload arenas, the environments' flow arenas
+	// and the network's transfer arenas all charge it.
+	budget *sim.ArenaBudget
+	env    *sim.Env     // serial engine, created by the first serial run
+	eng    *psim.Engine // parallel engine, created by the first partitioned run
+	rt     sim.Router
+	sys    *machine.System
+	net    *netsim.Network
+	rec    *trace.Recorder
+	ranks  []*Rank // live ranks for this run: rankStore[:n]
 
 	// rankStore keeps every Rank ever created for this Job at its
 	// high-water length, so shrinking and regrowing the job shape does
@@ -254,28 +258,31 @@ type partArena struct {
 	msgPtrs sim.Arena[*Message]
 }
 
+// setBudget charges the chunks all six arenas keep to b.
+func (pa *partArena) setBudget(b *sim.ArenaBudget) {
+	pa.envs.SetBudget(b)
+	pa.reqs.SetBudget(b)
+	pa.msgs.SetBudget(b)
+	pa.floats.SetBudget(b)
+	pa.slices.SetBudget(b)
+	pa.msgPtrs.SetBudget(b)
+}
+
 // reset rewinds the arenas after a clean run. The pointer-holding ones
 // are zeroed, so an idle Job keeps nothing alive outside itself (such
-// as a kernel buffer a finished request pointed at); the floats hold no
-// pointers and every handout is overwritten (cloneFloats). With poison
-// set, the run's payloads are filled with NaN first, so a test can show
-// that nothing reads a payload after its run.
-func (pa *partArena) reset(poison bool) {
+// as a kernel buffer a finished request pointed at). The floats hold no
+// pointers and every handout is overwritten (cloneFloats), so instead
+// of zeroes they get NaN: anything that still reads a payload of the
+// finished run, such as a report value aliasing it, reads NaN, and the
+// goldens of every package that runs jobs catch it.
+func (pa *partArena) reset() {
 	pa.envs.Reset()
 	pa.reqs.Reset()
 	pa.msgs.Reset()
 	pa.slices.Reset()
 	pa.msgPtrs.Reset()
-	if poison {
-		pa.floats.Fill(math.NaN())
-	}
+	pa.floats.Fill(math.NaN())
 	pa.floats.Rewind()
-}
-
-// bytes returns the size of the chunks the arenas keep between runs.
-func (pa *partArena) bytes() int {
-	return pa.envs.Bytes() + pa.reqs.Bytes() + pa.msgs.Bytes() +
-		pa.floats.Bytes() + pa.slices.Bytes() + pa.msgPtrs.Bytes()
 }
 
 // cloneFloats copies data into the node's payload arena. Every value
@@ -318,40 +325,46 @@ func (j *Job) post(srcRank, dstRank int, delay float64, fn func(any), arg any) {
 	j.rt.Post(srcNode, dstNode, e.Now()+delay, fn, arg)
 }
 
-// idleJobs is the free list of Jobs between runs, most recently used
-// first. It holds at most runtime.GOMAXPROCS(0) Jobs, one per executor
-// that can run a job at once; Jobs released beyond that are dropped to
-// the GC. The GC never empties the list, so how much a job allocates
-// does not depend on when the last collection ran.
-var idleJobs struct {
+// jobList is a free list of Jobs between runs, most recently idled
+// last. It holds at most runtime.GOMAXPROCS(0) Jobs, one per executor
+// that can run a job at once, keeping at most maxBytes of arena chunks
+// between them; a Job that would pass either bound is dropped to the
+// GC. The GC never empties the list, so how much a job allocates does
+// not depend on when the last collection ran.
+type jobList struct {
 	sync.Mutex
-	list []*Job
+	list     []*Job
+	bytes    int // arena chunks the idle Jobs keep
+	maxBytes int
 }
 
-// getJob takes the most recently idled Job, or a new one.
-func getJob() *Job {
-	idleJobs.Lock()
-	defer idleJobs.Unlock()
-	n := len(idleJobs.list) - 1
+// idleJobs is the free list Run takes its Jobs from.
+var idleJobs = jobList{maxBytes: maxRetainedBytes}
+
+// get takes the most recently idled Job, or a new one.
+func (l *jobList) get() *Job {
+	l.Lock()
+	defer l.Unlock()
+	n := len(l.list) - 1
 	if n < 0 {
 		return &Job{}
 	}
-	j := idleJobs.list[n]
-	idleJobs.list[n] = nil
-	idleJobs.list = idleJobs.list[:n]
+	j := l.list[n]
+	l.list[n] = nil
+	l.list = l.list[:n]
+	l.bytes -= j.retainedBytes()
 	return j
 }
 
-// putJob idles a Job after a clean run, unless the list is full or the
-// Job keeps more than maxRetainedBytes of arena chunks.
-func putJob(j *Job) {
-	if j.retainedBytes() > maxRetainedBytes {
-		return
-	}
-	idleJobs.Lock()
-	defer idleJobs.Unlock()
-	if len(idleJobs.list) < runtime.GOMAXPROCS(0) {
-		idleJobs.list = append(idleJobs.list, j)
+// put idles a Job after a clean run, unless that would pass the list's
+// bounds.
+func (l *jobList) put(j *Job) {
+	b := j.retainedBytes()
+	l.Lock()
+	defer l.Unlock()
+	if len(l.list) < runtime.GOMAXPROCS(0) && l.bytes+b <= l.maxBytes {
+		l.list = append(l.list, j)
+		l.bytes += b
 	}
 }
 
@@ -437,12 +450,12 @@ func Run(cfg Config, body func(r *Rank)) (Result, error) {
 
 	// A failed run (deadlock, panic) never returns its Job to the free
 	// list: blocked rank coroutines may still reference it.
-	j := getJob()
+	j := idleJobs.get()
 	res, err := j.run(cfg, body)
 	if err != nil {
 		return Result{}, err
 	}
-	putJob(j)
+	idleJobs.put(j)
 	return res, nil
 }
 
@@ -452,12 +465,16 @@ func Run(cfg Config, body func(r *Rank)) (Result, error) {
 // paths produce byte-identical results (pinned by the determinism
 // goldens), so the choice is purely a wall-clock matter.
 func (j *Job) run(cfg Config, body func(r *Rank)) (Result, error) {
+	if j.budget == nil {
+		j.budget = sim.NewArenaBudget(maxRetainedBytes)
+	}
 	nodes := cfg.Cluster.NodesFor(cfg.Ranks)
 	if cfg.SimWorkers > 1 && nodes > 1 {
 		return j.runPartitioned(cfg, nodes, body)
 	}
 	if j.env == nil {
 		j.env = sim.NewEnv()
+		j.env.SetArenaBudget(j.budget)
 	}
 	j.init(sim.UniRouter{E: j.env}, cfg, body)
 	if err := j.env.Run(); err != nil {
@@ -480,6 +497,7 @@ func (j *Job) runPartitioned(cfg Config, nodes int, body func(r *Rank)) (Result,
 	}
 	if j.eng == nil {
 		j.eng = &psim.Engine{}
+		j.eng.SetArenaBudget(j.budget)
 	}
 	j.eng.Reset(nodes, cfg.SimWorkers, floor)
 	j.init(j.eng, cfg, body)
@@ -513,12 +531,14 @@ func (j *Job) init(rt sim.Router, cfg Config, body func(r *Rank)) {
 	nodes := cfg.Cluster.NodesFor(n)
 	if j.net == nil {
 		j.net = &netsim.Network{}
+		j.net.SetArenaBudget(j.budget)
 	}
 	j.net.Reinit(rt, cfg.Net, nodes)
 
 	// Per-node arenas; release rewound the last run's chunks for reuse.
 	for len(j.parts) < nodes {
 		j.parts = append(j.parts, partArena{})
+		j.parts[len(j.parts)-1].setBudget(j.budget)
 	}
 	cpn := cfg.Cluster.CPU.CoresPerNode()
 	for node := 0; node < nodes; node++ {
@@ -572,9 +592,8 @@ func (j *Job) init(rt sim.Router, cfg Config, body func(r *Rank)) {
 // matching queues' backing arrays point only into the Job's own arenas.
 func (j *Job) release() {
 	j.rt, j.rec = nil, nil
-	poison := poisonPayloads.Load()
 	for i := range j.parts {
-		j.parts[i].reset(poison)
+		j.parts[i].reset()
 	}
 	j.net.Release()
 	for _, r := range j.rankStore {
@@ -583,44 +602,22 @@ func (j *Job) release() {
 	}
 }
 
-// maxRetainedBytes caps the arena chunks an idle Job keeps. A Job whose
-// run left more is dropped instead of idled, so the free list holds at
-// most GOMAXPROCS times this much arena memory. It sits above the
-// largest working set of the paper's multi-node jobs (Figs. 5-6 on 4 to
-// 16 nodes): one Job that ran all of them keeps 352 MB, most of it for
+// maxRetainedBytes caps the arena chunks one Job keeps (its budget)
+// and the chunks all idle Jobs keep together (the free list's bound). A
+// run that needs more hands out the rest from chunks the GC reclaims
+// mid-run, as it would without arenas. The cap sits above the largest
+// working set of the paper's multi-node jobs (Figs. 5-6 on 4 to 16
+// nodes): one Job that ran all of them keeps 352 MB, most of it for
 // minisweep on 16 ClusterB nodes, so those jobs all reuse their chunks.
 const maxRetainedBytes = 512 << 20
 
-// retainedBytes returns the size of every arena chunk the Job keeps:
-// the protocol and payload arenas, the environments' flow arenas and
-// the network's transfer arenas.
+// retainedBytes returns the size of every arena chunk the Job keeps.
 func (j *Job) retainedBytes() int {
-	n := 0
-	for i := range j.parts {
-		n += j.parts[i].bytes()
+	if j.budget == nil {
+		return 0
 	}
-	if j.env != nil {
-		n += j.env.ArenaBytes()
-	}
-	if j.eng != nil {
-		n += j.eng.ArenaBytes()
-	}
-	if j.net != nil {
-		n += j.net.ArenaBytes()
-	}
-	return n
+	return j.budget.Kept()
 }
-
-// poisonPayloads, when set, makes release fill the run's payloads with
-// NaN, so any read of a payload after its run returns NaN. Every
-// release poisons what its run handed out, so all kept payload memory
-// reads NaN between runs.
-var poisonPayloads atomic.Bool
-
-// PoisonPayloads turns payload poisoning on or off for every later
-// release. Tests use it to show that nothing outside a run aliases the
-// run's payload memory: with poisoning on, such an alias reads NaN.
-func PoisonPayloads(on bool) { poisonPayloads.Store(on) }
 
 // ID returns the rank number.
 func (r *Rank) ID() int { return r.id }

@@ -34,7 +34,6 @@ type Request struct {
 	tag   int
 	state reqState
 	msg   *Message // set on completed receives
-	env   *envelope
 }
 
 // Done reports whether the operation completed.
@@ -206,7 +205,7 @@ func (r *Rank) Isend(dst, tag int, data []float64, modelBytes float64) *Request 
 	// writes before any destination-side access.
 	env.data = pa.cloneFloats(data)
 	req := pa.reqs.New()
-	req.rank, req.send, req.peer, req.tag, req.env = r, true, dst, tag, env
+	req.rank, req.send, req.peer, req.tag = r, true, dst, tag
 	env.sendReq = req
 	env.eager = j.net.Eager(modelBytes)
 	// The envelope is now in flight on both sides: until each side's
@@ -405,7 +404,6 @@ func (j *Job) headerArrive(env *envelope) {
 // messages start the clear-to-send handshake and wire transfer.
 func (j *Job) matchEnvelope(env *envelope, req *Request) {
 	env.recvReq = req
-	req.env = env
 	if env.eager {
 		if env.dataArrived {
 			j.completeRecv(env)

@@ -102,8 +102,9 @@ type Network struct {
 	// pairs hands out, per source node, the join records used by
 	// inter-node StartTransfer. Sharded by node so concurrent partitions
 	// never contend. Release zeroes and rewinds them after a run, so the
-	// next run reuses their chunks.
-	pairs []sim.Arena[pairXfer]
+	// next run reuses their chunks as far as their budget allows.
+	pairs  []sim.Arena[pairXfer]
+	budget *sim.ArenaBudget
 }
 
 // Reinit points a Network, new (the zero value) or reused, at a router,
@@ -123,6 +124,7 @@ func (n *Network) Reinit(rt sim.Router, spec Spec, nodes int) {
 		n.nicIn = append(n.nicIn, &sim.PSResource{Name: fmt.Sprintf("nic-in%d", i)})
 		n.shmem = append(n.shmem, &sim.PSResource{Name: fmt.Sprintf("shmem%d", i)})
 		n.pairs = append(n.pairs, sim.Arena[pairXfer]{})
+		n.pairs[i].SetBudget(n.budget)
 	}
 	for i := 0; i < nodes; i++ {
 		env := rt.NodeEnv(i)
@@ -141,15 +143,10 @@ func (n *Network) Release() {
 	}
 }
 
-// ArenaBytes returns the size of the chunks the transfer arenas keep
-// between runs.
-func (n *Network) ArenaBytes() int {
-	b := 0
-	for i := range n.pairs {
-		b += n.pairs[i].Bytes()
-	}
-	return b
-}
+// SetArenaBudget charges the chunks the transfer arenas keep to b.
+// Without one they keep every chunk. Call it before the network's
+// first Reinit.
+func (n *Network) SetArenaBudget(b *sim.ArenaBudget) { n.budget = b }
 
 // Spec returns the interconnect parameters.
 func (n *Network) Spec() Spec { return n.spec }

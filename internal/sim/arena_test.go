@@ -106,3 +106,51 @@ func TestArenaResetClearsPointers(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaBudgetSpills fills one of two arenas sharing a budget past
+// its cap: the budget keeps at most the cap, charged with exactly the
+// kept chunks; once it spills, the other arena stops handing out from
+// its kept chunk too; and rewinding both ends the spill, so the kept
+// chunks serve the next run again.
+func TestArenaBudgetSpills(t *testing.T) {
+	const limit = 16 << 10
+	b := NewArenaBudget(limit)
+	var x Arena[int64]
+	var y Arena[*int64]
+	x.SetBudget(b)
+	y.SetBudget(b)
+	first := y.New()
+	*first = new(int64)
+	for i := 0; i < 4*limit/8; i++ {
+		*x.New() = 1
+	}
+	if b.Kept() > limit || b.Kept() != x.Bytes()+y.Bytes() {
+		t.Fatalf("budget keeps %d B, arenas %d B, want equal and at most %d B",
+			b.Kept(), x.Bytes()+y.Bytes(), limit)
+	}
+	if !b.spilling() {
+		t.Fatal("the budget did not spill past its cap")
+	}
+	if p := y.New(); p == &y.chunks[0][1] {
+		t.Error("an arena kept handing out from its kept chunk after the spill")
+	}
+	kept := y.Bytes()
+	x.Reset()
+	y.Reset()
+	if b.spilling() {
+		t.Fatal("rewinding the arenas did not end the spill")
+	}
+	if p := y.New(); p != first || *p != nil {
+		t.Error("after the rewind the arena did not reuse its kept chunk, zeroed")
+	}
+	if y.Bytes() != kept {
+		t.Errorf("spilled handouts were kept: %d B, want %d B", y.Bytes(), kept)
+	}
+	for _, c := range x.chunks {
+		for _, v := range c {
+			if v != 0 {
+				t.Fatal("Reset left a value in a kept chunk")
+			}
+		}
+	}
+}

@@ -80,7 +80,9 @@ type Env struct {
 
 	// flows hands out the Flow structs of this run's resources. Reset
 	// zeroes and rewinds it, so the next run reuses its chunks and an
-	// idle environment holds no finished flow's callback.
+	// idle environment holds no finished flow's callback. It keeps at
+	// most envFlowBytes of chunks unless SetArenaBudget charges it to an
+	// owner's budget.
 	flows Arena[Flow]
 
 	// oracle, when set, tightens EarliestOutput: a model-level promise
@@ -130,6 +132,7 @@ type OutputOracle interface {
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
 	e := &Env{coros: &coroSet{}}
+	e.flows.SetBudget(NewArenaBudget(envFlowBytes))
 	// Finished processes keep their idle coroutines for reuse. Once the
 	// environment is garbage (its owner dropped it), stop them so their
 	// goroutines exit.
@@ -196,9 +199,15 @@ func (e *Env) reset() {
 // the reference.
 func (e *Env) SetOutputOracle(o OutputOracle) { e.oracle = o }
 
-// ArenaBytes returns the size of the chunks the environment's flow
-// arena keeps between runs.
-func (e *Env) ArenaBytes() int { return e.flows.Bytes() }
+// envFlowBytes caps the flow chunks an environment keeps on its own
+// budget: enough for a single-node job's flows, while a long run past it
+// lets completed flows go to the GC.
+const envFlowBytes = 1 << 20
+
+// SetArenaBudget charges the flow chunks the environment keeps to b, an
+// owner's budget shared with its other arenas. Call it before the
+// environment's first run.
+func (e *Env) SetArenaBudget(b *ArenaBudget) { e.flows.SetBudget(b) }
 
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }

@@ -80,6 +80,7 @@ type partition struct {
 type Engine struct {
 	parts     []*partition // live partitions: partStore[:nodes]
 	partStore []*partition
+	budget    *sim.ArenaBudget // charged with the partitions' flow chunks
 	lookahead float64
 	workers   int
 
@@ -206,12 +207,12 @@ func (g *Engine) Reset(nodes, workers int, lookahead float64) {
 	g.counters = sim.Counters{}
 	g.workers = min(workers, nodes)
 	for len(g.partStore) < nodes {
-		g.partStore = append(g.partStore, &partition{env: sim.NewEnv()})
+		g.partStore = append(g.partStore, g.newPartition())
 	}
 	g.parts = g.partStore[:nodes]
 	for i, p := range g.parts {
 		if !p.env.Reset() {
-			p = &partition{env: sim.NewEnv()}
+			p = g.newPartition()
 			g.parts[i] = p
 		}
 		for len(p.out) < nodes {
@@ -232,14 +233,19 @@ func (g *Engine) finish() {
 	}
 }
 
-// ArenaBytes returns the size of the chunks the flow arenas of every
-// partition environment the engine keeps hold between runs.
-func (g *Engine) ArenaBytes() int {
-	n := 0
-	for _, p := range g.partStore {
-		n += p.env.ArenaBytes()
+// SetArenaBudget charges the flow chunks of every partition
+// environment the engine creates to b. Call it before the engine's
+// first run.
+func (g *Engine) SetArenaBudget(b *sim.ArenaBudget) { g.budget = b }
+
+// newPartition returns a partition with a fresh environment charged to
+// the engine's arena budget.
+func (g *Engine) newPartition() *partition {
+	p := &partition{env: sim.NewEnv()}
+	if g.budget != nil {
+		p.env.SetArenaBudget(g.budget)
 	}
-	return n
+	return p
 }
 
 // NodeEnv returns the partition environment simulating the given node.
