@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -597,4 +599,63 @@ func TestResolvedStateCarriesOutcome(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+var deadlockOnce sync.Once
+
+// TestFailedJobsReleaseCoroutines submits deadlocking jobs through
+// Submit, the daemon's path, on one and on two workers: each resolves
+// failed with the deadlock error, and afterwards the process runs no
+// more goroutines than before, give or take the idle rank coroutines of
+// one Job per extra worker (a failed job's coroutines go idle and are
+// reused, not leaked).
+func TestFailedJobsReleaseCoroutines(t *testing.T) {
+	// Registered once per process: the registry refuses duplicates,
+	// and -count runs the test more than once.
+	deadlockOnce.Do(func() {
+		bench.Register(&bench.Benchmark{
+			ID:   95,
+			Name: "campaign-deadlock",
+			Run: func(r *mpi.Rank, c bench.Class, o bench.Options) (bench.RunReport, error) {
+				if r.ID() == 0 {
+					r.Recv(1, 7) // nobody sends
+				}
+				return bench.RunReport{StepsModeled: 1, StepsSimulated: 1}, nil
+			},
+		})
+	})
+	const ranks, n = 16, 6
+	job := func(tag int) spec.RunSpec {
+		return spec.RunSpec{
+			Benchmark: "campaign-deadlock", Class: bench.Tiny,
+			Cluster: machine.MustGet("ClusterA"), Ranks: ranks,
+			Options: bench.Options{SimSteps: tag}, // distinct keys, no dedup
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		sched := NewScheduler(workers, nil)
+		// One failure first: the idle Job it leaves is the one reused.
+		if o := sched.Submit(context.Background(), job(0), 0, Exact).Wait(context.Background()); o.Err == nil {
+			t.Fatal("deadlocking job succeeded")
+		}
+		base := runtime.NumGoroutine() + (workers-1)*ranks
+		tickets := make([]*Ticket, n)
+		for i := range tickets {
+			tickets[i] = sched.Submit(context.Background(), job(i+1), 0, Exact)
+		}
+		for i, tk := range tickets {
+			if o := tk.Wait(context.Background()); o.Err == nil || !strings.Contains(o.Err.Error(), "deadlock") {
+				t.Errorf("workers=%d, job %d: err %v, want the deadlock", workers, i, o.Err)
+			}
+		}
+		sched.Close()
+		// The scheduler's workers exit once the queue drains.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if g := runtime.NumGoroutine(); g > base {
+			t.Errorf("workers=%d: %d goroutines after %d failed jobs, want at most %d", workers, g, n, base)
+		}
+	}
 }

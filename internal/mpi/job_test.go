@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/spechpc/spechpc-sim/internal/machine"
 	"github.com/spechpc/spechpc-sim/internal/netsim"
@@ -28,6 +29,28 @@ func reuseBody(r *Rank) {
 		r.Sendrecv(left, 4, reusePayload, 128*1024, right, 4) // rendezvous
 	}
 	r.Allreduce(reusePayload[:2], 16, OpSum)
+}
+
+// deadlockBody does reuseBody's work and then blocks every rank for
+// good: rank 0 receives a message nobody sends, and the others wait for
+// it in a barrier.
+func deadlockBody(r *Rank) {
+	reuseBody(r)
+	if r.ID() == 0 {
+		r.Recv(r.Size()-1, 99)
+	}
+	r.Barrier()
+}
+
+// panicBody fails a run midway: rank 0 panics after a compute phase
+// while the other ranks are computing or exchanging, so the run stops
+// with flows, messages and mail in flight.
+func panicBody(r *Rank) {
+	if r.ID() == 0 {
+		r.Compute(machine.Phase{Name: "fail", FlopsScalar: 1 * units.M})
+		panic("rank 0 fails")
+	}
+	reuseBody(r)
 }
 
 // reuseShapes are the job shapes the reuse tests cycle through: serial
@@ -80,13 +103,19 @@ func TestJobsSurviveGC(t *testing.T) {
 }
 
 // TestJobReuseMatchesFreshJob drives one Job through serial and
-// partitioned runs of growing and shrinking shapes and requires each
+// partitioned runs of growing and shrinking shapes, each after a
+// deadlocked and a panicked run of the same shape, and requires each
 // run to report exactly what a fresh Job reports for the same config:
-// nothing a run leaves in the Job's engines, arenas or ranks may leak
-// into the next.
+// nothing a run, failed or clean, leaves in the Job's engines, arenas
+// or ranks may leak into the next.
 func TestJobReuseMatchesFreshJob(t *testing.T) {
 	reused := &Job{}
 	for _, cfg := range reuseShapes() {
+		for _, body := range []func(*Rank){deadlockBody, panicBody} {
+			if _, err := reused.run(cfg, body); err == nil {
+				t.Fatalf("ranks=%d workers=%d: failing body reported success", cfg.Ranks, cfg.SimWorkers)
+			}
+		}
 		got, err := reused.run(cfg, reuseBody)
 		if err != nil {
 			t.Fatalf("reused Job, ranks=%d workers=%d: %v", cfg.Ranks, cfg.SimWorkers, err)
@@ -100,6 +129,58 @@ func TestJobReuseMatchesFreshJob(t *testing.T) {
 			t.Errorf("ranks=%d workers=%d: reused Job reported\n%+v\nfresh Job\n%+v",
 				cfg.Ranks, cfg.SimWorkers, got, want)
 		}
+	}
+}
+
+// TestFailedRunsReleaseCoroutines runs deadlocking and panicking
+// 288-rank jobs through Run, serially and on the partitioned engine,
+// and requires them to leave nothing behind: the goroutine count
+// returns to its baseline, and the live heap grows by less than what
+// one Job holds, since a failed run returns its Job to the idle list
+// like a clean one.
+func TestFailedRunsReleaseCoroutines(t *testing.T) {
+	const n = 2 // failures of each kind per shape
+	shapes := reuseShapes()[:2]
+	held := &Job{}
+	before := liveHeap()
+	for _, cfg := range shapes {
+		if _, err := held.run(cfg, reuseBody); err != nil {
+			t.Fatal(err)
+		}
+	}
+	one := liveHeap() - min(liveHeap(), before)
+	runtime.KeepAlive(held)
+	fail := func(cfg Config) {
+		for _, body := range []func(*Rank){deadlockBody, panicBody} {
+			if _, err := Run(cfg, body); err == nil {
+				t.Fatalf("ranks=%d workers=%d: failing body reported success", cfg.Ranks, cfg.SimWorkers)
+			}
+		}
+	}
+	// One failure of each kind brings the idle Job that the failing runs
+	// take to their high-water marks; the baseline follows it.
+	for _, cfg := range shapes {
+		fail(cfg)
+	}
+	baseG, base := runtime.NumGoroutine(), liveHeap()
+	for _, cfg := range shapes {
+		for i := 0; i < n; i++ {
+			fail(cfg)
+		}
+	}
+	// Partitioned runs' workers exit after their run returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseG && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	grown := liveHeap() - min(liveHeap(), base)
+	t.Logf("%d failed runs: %d goroutines (baseline %d), live heap grew %.1f MB; one Job holds %.1f MB",
+		4*n, runtime.NumGoroutine(), baseG, float64(grown)/(1<<20), float64(one)/(1<<20))
+	if g := runtime.NumGoroutine(); g > baseG {
+		t.Errorf("%d goroutines after %d failed runs, baseline %d", g, 4*n, baseG)
+	}
+	if grown > one {
+		t.Errorf("live heap grew %d B over %d failed runs, more than the %d B one Job holds", grown, 4*n, one)
 	}
 }
 

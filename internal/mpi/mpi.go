@@ -242,7 +242,7 @@ var testOracleCheck func(*Job)
 // Envelopes, requests and messages all die with the run, so handing
 // them out from arenas trades one allocation per object for one per
 // chunk, and a recycled Job keeps the chunks: reset rewinds them after
-// a clean run, so a steady-state job allocates none. What a run hands
+// each run, so a steady-state job allocates none. What a run hands
 // out (payloads, collective results, Waitall slices) stays valid only
 // until mpi.Run returns.
 type partArena struct {
@@ -268,7 +268,7 @@ func (pa *partArena) setBudget(b *sim.ArenaBudget) {
 	pa.msgPtrs.SetBudget(b)
 }
 
-// reset rewinds the arenas after a clean run. The pointer-holding ones
+// reset rewinds the arenas after a run. The pointer-holding ones
 // are zeroed, so an idle Job keeps nothing alive outside itself (such
 // as a kernel buffer a finished request pointed at). The floats hold no
 // pointers and every handout is overwritten (cloneFloats), so instead
@@ -356,7 +356,7 @@ func (l *jobList) get() *Job {
 	return j
 }
 
-// put idles a Job after a clean run, unless that would pass the list's
+// put idles a Job after a run, unless that would pass the list's
 // bounds.
 func (l *jobList) put(j *Job) {
 	b := j.retainedBytes()
@@ -448,22 +448,18 @@ func Run(cfg Config, body func(r *Rank)) (Result, error) {
 		return Result{}, err
 	}
 
-	// A failed run (deadlock, panic) never returns its Job to the free
-	// list: blocked rank coroutines may still reference it.
 	j := idleJobs.get()
 	res, err := j.run(cfg, body)
-	if err != nil {
-		return Result{}, err
-	}
 	idleJobs.put(j)
-	return res, nil
+	return res, err
 }
 
 // run executes one validated job on the Job's own engines. A
 // multi-node job with SimWorkers > 1 runs on the conservative-
 // lookahead parallel engine; everything else runs serially. The two
 // paths produce byte-identical results (pinned by the determinism
-// goldens), so the choice is purely a wall-clock matter.
+// goldens), so the choice is purely a wall-clock matter. A failed run
+// (deadlock, panic) rewinds the Job like a clean one.
 func (j *Job) run(cfg Config, body func(r *Rank)) (Result, error) {
 	if j.budget == nil {
 		j.budget = sim.NewArenaBudget(maxRetainedBytes)
@@ -477,14 +473,15 @@ func (j *Job) run(cfg Config, body func(r *Rank)) (Result, error) {
 		j.env.SetArenaBudget(j.budget)
 	}
 	j.init(sim.UniRouter{E: j.env}, cfg, body)
-	if err := j.env.Run(); err != nil {
-		return Result{}, err
+	var res Result
+	err := j.env.Run()
+	if err == nil {
+		u := j.sys.Usage()
+		res = Result{Usage: u, Trace: cfg.Trace, Wall: u.Wall, Sim: j.env.Counters()}
 	}
-	u := j.sys.Usage()
-	work := j.env.Counters()
 	j.env.Reset()
 	j.release()
-	return Result{Usage: u, Trace: cfg.Trace, Wall: u.Wall, Sim: work}, nil
+	return res, err
 }
 
 // runPartitioned executes a multi-node job on the psim engine: one
@@ -503,6 +500,7 @@ func (j *Job) runPartitioned(cfg Config, nodes int, body func(r *Rank)) (Result,
 	j.init(j.eng, cfg, body)
 	j.attachOracle(j.eng, nodes)
 	if err := j.eng.Run(); err != nil {
+		j.release()
 		return Result{}, err
 	}
 	if testOracleCheck != nil {

@@ -134,9 +134,10 @@ func (n *Network) Reinit(rt sim.Router, spec Spec, nodes int) {
 	}
 }
 
-// Release rewinds the transfer arenas after a clean run, zeroing the
-// join records so an idle Network holds none of the run's callbacks.
-// Every transfer of the run must have completed.
+// Release rewinds the transfer arenas after a run, zeroing the join
+// records so an idle Network holds none of the run's callbacks. Call it
+// once the run's environments are rewound, so no queued event of the
+// run is left to reach a record.
 func (n *Network) Release() {
 	for i := range n.pairs {
 		n.pairs[i].Reset()
@@ -204,12 +205,15 @@ func xferEject(a any) {
 
 // xferLegDone joins the two destination-side completion legs (last byte
 // arrived, ejection flow drained); the transfer callback fires on the
-// later one.
+// later one. The record drops the callback first, so a completed
+// record pins nothing of its transfer's run.
 func xferLegDone(a any) {
 	x := a.(*pairXfer)
 	x.need--
 	if x.need == 0 && x.fn != nil {
-		x.fn(x.arg)
+		fn, arg := x.fn, x.arg
+		x.fn, x.arg = nil, nil
+		fn(arg)
 	}
 }
 

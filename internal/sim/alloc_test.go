@@ -175,9 +175,7 @@ func TestEnvPoolReuse(t *testing.T) {
 	e := NewEnv()
 	first := run(e)
 	slots, proc := len(e.slots), e.procs[0]
-	if !e.Reset() {
-		t.Fatal("Reset refused a cleanly finished environment")
-	}
+	e.Reset()
 	if e.Now() != 0 || len(e.procs) != 0 || e.Counters() != (Counters{}) {
 		t.Fatalf("env not rewound: now=%v procs=%d counters=%+v", e.Now(), len(e.procs), e.Counters())
 	}
@@ -189,23 +187,84 @@ func TestEnvPoolReuse(t *testing.T) {
 	}
 }
 
-// TestResetRejectsDirtyEnv verifies failed runs are not recycled: a
-// deadlocked environment keeps parked coroutines alive, so Reset
-// refuses it and leaves its state as the failure left it.
-func TestResetRejectsDirtyEnv(t *testing.T) {
-	e := NewEnv()
-	stuck := e.Spawn("stuck", func(p *Proc) {
-		p.Wait(1)
-		p.Park("forever")
-	})
-	if err := e.Run(); err == nil {
-		t.Fatal("expected deadlock")
+// TestResetUnwindsFailedRun pins the one recycle path: Reset rewinds a
+// deadlocked or panicked environment too. Every blocked process, parked
+// or waiting, unwinds out of its function and runs its deferred calls;
+// a deferred call that blocks again unwinds instead of parking. The
+// same environment then reruns a job exactly as a fresh one does, on
+// the failed run's coroutines.
+func TestResetUnwindsFailedRun(t *testing.T) {
+	job := func(e *Env) (float64, Counters) {
+		r := NewPSResource(e, "mem", 10, 0)
+		for i := 0; i < 3; i++ {
+			e.Spawn("p", func(p *Proc) {
+				p.Wait(float64(i))
+				r.StartFlow(30, nil, nil).Await(p)
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e.Now(), e.Counters()
 	}
-	if e.Reset() {
-		t.Fatal("Reset accepted a deadlocked environment")
-	}
-	if e.Now() != 1 || len(e.procs) != 1 || stuck.State() != StateParked {
-		t.Fatalf("Reset changed a dirty env: now=%v procs=%d state=%v", e.Now(), len(e.procs), stuck.State())
+	wantEnd, wantWork := job(NewEnv())
+	for _, c := range []struct {
+		name  string
+		spawn func(e *Env, unwound *int)
+	}{
+		{"deadlock", func(e *Env, unwound *int) {
+			e.Spawn("stuck", func(p *Proc) {
+				defer func() {
+					*unwound++
+					p.Park("again")
+				}()
+				p.Wait(1)
+				p.Park("forever")
+			})
+			e.Spawn("done", func(p *Proc) { p.Wait(2) })
+			e.Spawn("stuck late", func(p *Proc) {
+				defer func() { *unwound++ }()
+				p.Wait(3)
+				p.Park("forever")
+			})
+		}},
+		{"panic", func(e *Env, unwound *int) {
+			e.Spawn("parked", func(p *Proc) {
+				defer func() { *unwound++ }()
+				p.Park("forever")
+			})
+			e.Spawn("waiting", func(p *Proc) {
+				defer func() { *unwound++ }()
+				p.Wait(5)
+			})
+			e.Spawn("boom", func(p *Proc) {
+				p.Wait(1)
+				panic("kaboom")
+			})
+		}},
+	} {
+		e := NewEnv()
+		unwound := 0
+		c.spawn(e, &unwound)
+		if err := e.Run(); err == nil {
+			t.Fatalf("%s: run reported success", c.name)
+		}
+		coros := len(e.coros.list)
+		e.Reset()
+		if want := coros - 1; unwound != want {
+			t.Errorf("%s: %d processes unwound, want %d", c.name, unwound, want)
+		}
+		if e.Now() != 0 || len(e.procs) != 0 || len(e.heap) != 0 || len(e.nowq) != 0 || e.failure != nil {
+			t.Fatalf("%s: env not rewound: now=%v procs=%d heap=%d nowq=%d failure=%v",
+				c.name, e.Now(), len(e.procs), len(e.heap), len(e.nowq), e.failure)
+		}
+		if end, work := job(e); end != wantEnd || work != wantWork {
+			t.Errorf("%s: rerun ended at %v with %+v, a fresh env at %v with %+v",
+				c.name, end, work, wantEnd, wantWork)
+		}
+		if len(e.coros.list) != coros {
+			t.Errorf("%s: rerun built %d coroutines, want the %d kept", c.name, len(e.coros.list), coros)
+		}
 	}
 }
 

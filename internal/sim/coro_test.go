@@ -29,9 +29,7 @@ func reusedRun(t *testing.T, e *Env, procs int) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !e.Reset() {
-		t.Fatal("clean run left the environment dirty")
-	}
+	e.Reset()
 }
 
 // TestDroppedEnvsStopTheirCoroutines pins the coroutine lifetime
@@ -87,9 +85,7 @@ func TestPooledSpawnAllocationFree(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if !e.Reset() {
-			t.Fatal("run left the environment dirty")
-		}
+		e.Reset()
 	}
 	run()
 	if a := testing.AllocsPerRun(50, run); a != 0 {
@@ -98,10 +94,8 @@ func TestPooledSpawnAllocationFree(t *testing.T) {
 }
 
 // TestPanicThenReuse verifies a panicking process surfaces as the
-// environment's failure with its name, and that the coroutines of the
-// processes that finished normally in that run stay usable: Reset
-// refuses the failed environment, and a fresh environment's runs are
-// unaffected.
+// environment's failure with its name, and that Reset then rewinds the
+// failed environment for a clean rerun.
 func TestPanicThenReuse(t *testing.T) {
 	e := NewEnv()
 	e.Spawn("fine", func(p *Proc) { p.Wait(1) })
@@ -113,8 +107,6 @@ func TestPanicThenReuse(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"boom" panicked: kaboom`) {
 		t.Fatalf("Run() = %v, want the panic of process boom", err)
 	}
-	if e.failure == nil || e.Reset() {
-		t.Fatal("panicked run must leave Env.failure set and Reset refusing the env")
-	}
-	reusedRun(t, NewEnv(), 3)
+	e.Reset()
+	reusedRun(t, e, 3)
 }

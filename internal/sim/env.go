@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"math"
@@ -72,6 +73,8 @@ type Env struct {
 	current  *Proc
 	failure  error
 	stopped  bool
+	// aborting is set while Reset unwinds the processes of a failed run.
+	aborting bool
 
 	// coros lists every process coroutine this environment created; the
 	// cleanup registered by NewEnv stops them once the environment is
@@ -133,48 +136,40 @@ type OutputOracle interface {
 func NewEnv() *Env {
 	e := &Env{coros: &coroSet{}}
 	e.flows.SetBudget(NewArenaBudget(envFlowBytes))
-	// Finished processes keep their idle coroutines for reuse. Once the
-	// environment is garbage (its owner dropped it), stop them so their
-	// goroutines exit.
+	// Finished processes keep their idle coroutines for reuse, and Reset
+	// leaves every coroutine idle. Once the environment is garbage (its
+	// owner dropped it), stop them so their goroutines exit.
 	runtime.AddCleanup(e, (*coroSet).stop, e.coros)
 	return e
 }
 
-// Reset rewinds a cleanly finished environment to time zero for its
-// next run, keeping the event slab, the process structs and their
-// coroutines. An environment that did not finish cleanly (failed run,
-// undrained queue, processes still blocked) is left unchanged and
-// Reset returns false: its parked coroutines may still hold references
-// to its state, so the owner must drop it.
-func (e *Env) Reset() bool {
-	if !e.clean() {
-		return false
-	}
-	e.reset()
-	return true
-}
-
-// clean reports whether the environment finished a run with no failure,
-// an empty queue, and every process completed.
-func (e *Env) clean() bool {
-	if e.failure != nil || e.current != nil {
-		return false
-	}
-	if len(e.heap) > 0 || e.nowHead < len(e.nowq) {
-		return false
-	}
+// Reset rewinds a finished environment, failed or clean, to time zero
+// for its next run, keeping the event slab, the process structs and
+// their coroutines. It first unwinds a failed run: each process still
+// waiting or parked is resumed in spawn order and panics out of its
+// function, running its deferred calls, and every event still queued is
+// dropped. No coroutine then holds a reference to the finished run, so
+// the owner may run the environment again or drop it.
+func (e *Env) Reset() {
+	e.aborting = true
 	for _, p := range e.procs {
-		if p.state != StateDone {
-			return false
+		if p.state == StateWaiting || p.state == StateParked {
+			e.transferTo(p)
 		}
 	}
-	return true
-}
-
-// reset rewinds the environment to the zero-time state while keeping all
-// allocated capacity: the event slab, the free list, and finished process
-// structs (whose coroutines are reused by future Spawns).
-func (e *Env) reset() {
+	e.aborting = false
+	// Dropped events go stale like fired ones, so a handle kept from the
+	// failed run cannot cancel the next run's event in the same slot.
+	for _, idx := range e.nowq[e.nowHead:] {
+		e.slots[idx].gen += 2
+		e.releaseSlot(idx)
+	}
+	for _, h := range e.heap {
+		e.slots[h.idx].gen += 2
+		e.releaseSlot(h.idx)
+	}
+	e.heap = e.heap[:0]
+	e.nowq, e.nowHead = e.nowq[:0], 0
 	e.now, e.seq = 0, 0
 	e.failure = nil
 	e.stopped = false
@@ -188,14 +183,13 @@ func (e *Env) reset() {
 		e.procFree = append(e.procFree, p)
 	}
 	e.procs = e.procs[:0]
-	e.nowq, e.nowHead = e.nowq[:0], 0
 	e.flows.Reset()
 	e.oracle = nil
 	e.counters = Counters{}
 }
 
 // SetOutputOracle registers (or clears, with nil) the environment's
-// output oracle. The caller keeps ownership of the oracle; reset drops
+// output oracle. The caller keeps ownership of the oracle; Reset drops
 // the reference.
 func (e *Env) SetOutputOracle(o OutputOracle) { e.oracle = o }
 
@@ -378,17 +372,15 @@ func (c *coro) loop(yield func(struct{}) bool) {
 	}
 }
 
-// runProc executes the assigned process function. A panic becomes the
-// environment's failure; either way the process ends in StateDone and
-// the coroutine goes idle.
+// runProc executes the assigned process function. A panic other than
+// errUnwound becomes the environment's failure; either way the process
+// ends in StateDone and the coroutine goes idle.
 func (c *coro) runProc() {
 	p := c.p
 	e := p.env
 	defer func() {
-		if r := recover(); r != nil {
-			if e.failure == nil {
-				e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
-			}
+		if r := recover(); r != nil && r != errUnwound && e.failure == nil {
+			e.failure = fmt.Errorf("sim: process %q panicked: %v\n%s", p.name, r, debug.Stack())
 		}
 		p.state = StateDone
 		c.p = nil
@@ -448,13 +440,20 @@ func (e *Env) transferTo(p *Proc) {
 	e.current = prev
 }
 
+// errUnwound is the panic that unwinds a blocked process out of its
+// function when Reset rewinds a failed run.
+var errUnwound = errors.New("sim: process unwound by Reset")
+
 // yield returns control from the running process to the scheduler and
-// returns once the scheduler resumes this process.
+// returns once the scheduler resumes this process. A process resumed by
+// Reset panics errUnwound instead, and so does one that tries to block
+// again while it unwinds (a deferred call that parks or waits). A
+// stopped coroutine unwinds the same way, though coroutines are stopped
+// only when their environment is garbage, which a blocked process's own
+// stack rules out.
 func (p *Proc) yield() {
-	if !p.co.yield(struct{}{}) {
-		// Coroutines are stopped only when their environment is garbage,
-		// which a parked process's own stack rules out.
-		panic(fmt.Sprintf("sim: process %q stopped while blocked", p.name))
+	if p.env.aborting || !p.co.yield(struct{}{}) || p.env.aborting {
+		panic(errUnwound)
 	}
 }
 
@@ -623,6 +622,7 @@ func (e *Env) dispatch(idx int32) {
 // Run executes events until the queue is exhausted or a process panics.
 // It returns an error if a process panicked or if, after the queue drained,
 // some processes are still parked (a deadlock in the simulated system).
+// Either way Reset rewinds the environment for its next run.
 func (e *Env) Run() error {
 	if err := e.RunBefore(math.Inf(1)); err != nil {
 		return err

@@ -131,8 +131,8 @@ type Stats struct {
 // Stats returns the counters of the engine's last (or in-progress) run.
 func (g *Engine) Stats() Stats { return g.stat }
 
-// Counters returns the work counts of the last successful run summed
-// over partitions; read it after Run and before the next Reset.
+// Counters returns the work counts of the last run, failed or clean,
+// summed over partitions; read it after Run and before the next Reset.
 func (g *Engine) Counters() sim.Counters { return g.counters }
 
 // Totals aggregates window statistics across engine runs: a
@@ -190,7 +190,7 @@ func (g *Engine) flushTotals() {
 // partitions, executed by up to workers concurrent executors, with the
 // given conservative lookahead (netsim.Spec.LatencyFloor). A partition
 // gets its environment when it is first created and keeps it across
-// runs; one left dirty by a failed run is replaced by a fresh one.
+// runs, failed ones included.
 // Windows widen past the latency floor using the partitions'
 // EarliestOutput bounds; partitions with no oracle promise only their
 // next event time, which keeps their windows at the floor.
@@ -207,14 +207,15 @@ func (g *Engine) Reset(nodes, workers int, lookahead float64) {
 	g.counters = sim.Counters{}
 	g.workers = min(workers, nodes)
 	for len(g.partStore) < nodes {
-		g.partStore = append(g.partStore, g.newPartition())
+		p := &partition{env: sim.NewEnv()}
+		if g.budget != nil {
+			p.env.SetArenaBudget(g.budget)
+		}
+		g.partStore = append(g.partStore, p)
 	}
 	g.parts = g.partStore[:nodes]
-	for i, p := range g.parts {
-		if !p.env.Reset() {
-			p = g.newPartition()
-			g.parts[i] = p
-		}
+	for _, p := range g.parts {
+		p.env.Reset()
 		for len(p.out) < nodes {
 			p.out = append(p.out, nil)
 		}
@@ -222,14 +223,18 @@ func (g *Engine) Reset(nodes, workers int, lookahead float64) {
 	g.err = nil
 }
 
-// finish ends a successful run: it records the partitions' work counts
-// and rewinds their environments, so an idle engine pins nothing from
-// the finished job. The barrier merge has already emptied and cleared
-// every outbox.
+// finish ends a run, failed or clean: it records the partitions' work
+// counts, rewinds their environments and empties their outboxes, so an
+// idle engine pins nothing from the finished job.
 func (g *Engine) finish() {
 	for _, p := range g.parts {
 		g.counters = g.counters.Add(p.env.Counters())
 		p.env.Reset()
+		for d := range p.out {
+			clear(p.out[d])
+			p.out[d] = p.out[d][:0]
+		}
+		p.mailed = false
 	}
 }
 
@@ -237,16 +242,6 @@ func (g *Engine) finish() {
 // environment the engine creates to b. Call it before the engine's
 // first run.
 func (g *Engine) SetArenaBudget(b *sim.ArenaBudget) { g.budget = b }
-
-// newPartition returns a partition with a fresh environment charged to
-// the engine's arena budget.
-func (g *Engine) newPartition() *partition {
-	p := &partition{env: sim.NewEnv()}
-	if g.budget != nil {
-		p.env.SetArenaBudget(g.budget)
-	}
-	return p
-}
 
 // NodeEnv returns the partition environment simulating the given node.
 func (g *Engine) NodeEnv(node int) *sim.Env { return g.parts[node].env }
@@ -285,6 +280,7 @@ func (g *Engine) Post(src, dst int, t float64, fn func(any), arg any) {
 // parked processes remain after all queues and mailboxes drain.
 func (g *Engine) Run() error {
 	defer g.flushTotals()
+	defer g.finish()
 	if g.workers > 1 {
 		// Workers receive the channel by value: the engine field is
 		// cleared on return while late-starting workers still read from
@@ -331,7 +327,6 @@ func (g *Engine) Run() error {
 			return err
 		}
 	}
-	g.finish()
 	return nil
 }
 

@@ -101,18 +101,22 @@ func TestMergeOrderIsCanonical(t *testing.T) {
 }
 
 // TestDeadlockDetected parks a process that nothing ever wakes and
-// expects Run to fail once all queues drain. Reset then replaces the
-// dirty partition, so the same engine runs the next job cleanly.
+// expects Run to fail once all queues drain. The engine keeps the
+// deadlocked partition's environment, rewound, and runs the next job on
+// it cleanly.
 func TestDeadlockDetected(t *testing.T) {
 	g := newEngine(2, 2)
 	g.NodeEnv(1).Spawn("stuck", func(p *sim.Proc) { p.Park("never woken") })
 	if err := g.Run(); err == nil {
 		t.Fatal("deadlocked run reported success")
 	}
-	dirty := g.NodeEnv(1)
+	failed := g.NodeEnv(1)
+	if failed.Now() != 0 || failed.Counters() != (sim.Counters{}) {
+		t.Fatalf("failed run left its partition unrewound: now=%v counters=%+v", failed.Now(), failed.Counters())
+	}
 	g.Reset(2, 2, look)
-	if g.NodeEnv(1) == dirty {
-		t.Fatal("Reset kept the deadlocked partition's environment")
+	if g.NodeEnv(1) != failed {
+		t.Fatal("Reset replaced the deadlocked partition's environment")
 	}
 	p := &ping{g: g, a: 0, b: 1, hops: 3, from: 0}
 	g.NodeEnv(0).At(0, p.hop, nil)

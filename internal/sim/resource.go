@@ -202,7 +202,8 @@ func (r *PSResource) reschedule() {
 // complete fires the head flow's completion event: it removes every flow
 // whose tag the clock has reached (the head, plus any flows that share
 // its tag) in (tag, arrival) order, re-shares capacity among the rest,
-// then wakes each finished flow's process and runs its callback.
+// then wakes each finished flow's process and runs its callback, which
+// the flow drops first so that a completed flow pins nothing.
 func (r *PSResource) complete() {
 	r.ev = Event{}
 	r.advance()
@@ -231,8 +232,9 @@ func (r *PSResource) complete() {
 		} else if f.proc != nil {
 			f.proc.wakeTokens++
 		}
-		if f.done != nil {
-			f.done(f.arg)
+		if done, arg := f.done, f.arg; done != nil {
+			f.done, f.arg = nil, nil
+			done(arg)
 		}
 		f = next
 	}
