@@ -148,7 +148,8 @@ func TestFailedRunsReleaseCoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	one := liveHeap() - min(liveHeap(), before)
+	after := liveHeap()
+	one := after - min(after, before)
 	runtime.KeepAlive(held)
 	fail := func(cfg Config) {
 		for _, body := range []func(*Rank){deadlockBody, panicBody} {
@@ -173,7 +174,8 @@ func TestFailedRunsReleaseCoroutines(t *testing.T) {
 	for runtime.NumGoroutine() > baseG && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	grown := liveHeap() - min(liveHeap(), base)
+	after = liveHeap()
+	grown := after - min(after, base)
 	t.Logf("%d failed runs: %d goroutines (baseline %d), live heap grew %.1f MB; one Job holds %.1f MB",
 		4*n, runtime.NumGoroutine(), baseG, float64(grown)/(1<<20), float64(one)/(1<<20))
 	if g := runtime.NumGoroutine(); g > baseG {

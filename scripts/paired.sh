@@ -11,12 +11,14 @@
 # the end-to-end metrics of BENCHMARK.json plus the share of failed
 # requests:
 #
-#   BenchmarkE2E/workload=sweep-cold/seed=1/side=base 1 0.000693 setup_s 227.4 jobs_per_s ... 0 failed_share
+#   BenchmarkE2E/workload=sweep-cold/seconds=15/seed=1/side=base 1 0.000693 setup_s 227.4 jobs_per_s ... 0 failed_share
 #
 # A table follows with, per metric and seed: both medians, the change's
 # wins out of the pairs (direction from BENCHMARK.json's `better`; ties
-# count for neither side), the base's interquartile range, and the
-# two-sided Mann-Whitney p from cmd/benchgate.
+# count for neither side), the base's interquartile range, the
+# two-sided Mann-Whitney p from cmd/benchgate, and "worse" where the
+# change's median is worse than the base's by more than the metric's
+# `bound` (any rise, for the failure share).
 #
 # Usage:
 #   scripts/paired.sh BASE CHANGE --workload W [--seeds 1,1001] [--pairs 10]
@@ -51,9 +53,9 @@ done
 [ $# -eq 0 ] && [ -n "$workload" ] || usage
 command -v jq >/dev/null || { echo "$0: jq is required" >&2; exit 2; }
 
-# "name better" per end-to-end metric, then the failure share.
-metrics="$(jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json)
-failed_share lower"
+# "name better bound" per end-to-end metric, then the failure share.
+metrics="$(jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' BENCHMARK.json)
+failed_share lower 0"
 names_json=$(jq -c '[.end_to_end[].name]' BENCHMARK.json)
 
 scratch=$(mktemp -d "${TMPDIR:-/tmp}/paired.XXXXXX")
@@ -89,7 +91,7 @@ run() {
 		echo "$0: $1 run of $workload seed $2 produced wrong outputs" >&2
 		exit 1
 	fi
-	jq -r --arg name "BenchmarkE2E/workload=$workload/seed=$2/side=$1" --argjson names "$names_json" '
+	jq -r --arg name "BenchmarkE2E/workload=$workload/seconds=$seconds/seed=$2/side=$1" --argjson names "$names_json" '
 		[$name, "1"]
 		+ [$names[] as $m | (.metrics[$m].value | tostring), $m]
 		+ [(if .attempted > 0 then .failed / .attempted else 0 end | tostring), "failed_share"]
@@ -142,8 +144,8 @@ awk -v metrics="$metrics" -v seeds="$seeds" '
 	}
 	FILENAME ~ /pvalues$/ { pv[$1 " " $2] = $3; next }
 	{
-		split($1, f, "/")
-		seed = substr(f[3], 6); side = substr(f[4], 6)
+		nf = split($1, f, "/")
+		seed = substr(f[nf - 1], 6); side = substr(f[nf], 6)
 		for (i = 3; i < NF; i += 2) {
 			k = $(i + 1) " " seed " " side
 			val[k, ++cnt[k]] = $i
@@ -153,7 +155,7 @@ awk -v metrics="$metrics" -v seeds="$seeds" '
 		nm = split(metrics, ml, "\n"); ns = split(seeds, sl, ",")
 		printf "%-16s %6s %14s %14s %8s %6s %12s %7s\n", "metric", "seed", "base median", "change median", "delta", "wins", "base IQR", "p"
 		for (mi = 1; mi <= nm; mi++) {
-			split(ml[mi], mb, " "); m = mb[1]; lower = mb[2] == "lower"
+			split(ml[mi], mb, " "); m = mb[1]; lower = mb[2] == "lower"; bound = mb[3]
 			for (si = 1; si <= ns; si++) {
 				s = sl[si]; kb = m " " s " base"; kc = m " " s " change"
 				n = cnt[kb] < cnt[kc] ? cnt[kb] : cnt[kc]
@@ -166,7 +168,9 @@ awk -v metrics="$metrics" -v seeds="$seeds" '
 				sortv(b, n); sortv(c, n)
 				bm = q(b, n, 0.5); cm = q(c, n, 0.5)
 				delta = bm != 0 ? sprintf("%+.1f%%", 100 * (cm - bm) / bm) : "-"
-				printf "%-16s %6s %14.6g %14.6g %8s %3d/%-2d %12.4g %7s\n", m, s, bm, cm, delta, wins, n, q(b, n, 0.75) - q(b, n, 0.25), pv[m " " s]
+				worse = lower ? cm > bm * (1 + bound) : cm < bm * (1 - bound)
+				printf "%-16s %6s %14.6g %14.6g %8s %3d/%-2d %12.4g %7s%s\n", m, s, bm, cm, delta, wins, n,
+					q(b, n, 0.75) - q(b, n, 0.25), pv[m " " s], worse ? "  worse" : ""
 			}
 		}
 	}' "$scratch/pvalues" "$runs"
